@@ -62,6 +62,10 @@ int main(int argc, char** argv) {
   // pipeline (imputation + confidence weighting + hypothesis decoding).
   if (faulty) opts.engine.recovery = core::RecoveryConfig::full();
   core::OnlineRecognizer live(profile, opts);
+  core::SegmentScratch scratch;
+  auto feed = [&](const reader::TagReport& r) {
+    if (live.offer(r)) live.processDue(scratch);
+  };
 
   std::string letters;
   std::vector<std::vector<core::LetterGrammar::LetterHypothesis>> lattice;
@@ -75,7 +79,7 @@ int main(int argc, char** argv) {
     letters.push_back(c ? c : '?');
     lattice.push_back(live.engine().letterHypotheses(evs));
   });
-  sdk.onReport([&](const reader::TagReport& r) { live.push(r); });
+  sdk.onReport(feed);
 
   // Hostile-deployment mode: flap the link once per letter and corrupt a
   // slice of the report frames in flight.
@@ -125,11 +129,11 @@ int main(int argc, char** argv) {
       for (const llrp::Bytes& frame :
            reader.poll(traj.durationS() + 0.3, scene)) {
         const auto report = llrp::decodeRoAccessReport(frame);
-        for (const auto& wire : report.reports) live.push(llrp::fromWire(wire));
+        for (const auto& wire : report.reports) feed(llrp::fromWire(wire));
       }
     }
   }
-  live.flush();
+  live.flushWith(scratch);
 
   if (faulty) {
     std::printf(

@@ -4,14 +4,28 @@
 
 namespace rfipad {
 
+namespace {
+
+/// std::fmod(x, 2π) without the library call for the arguments phase code
+/// mostly meets, −2π < x < 4π.  There the remainder is x itself or x − 2π,
+/// and x − 2π is exact (Sterbenz: 2π ≤ x ≤ 2·2π), so the result is
+/// bit-identical to std::fmod's exact remainder.
+double fmodTwoPi(double x) {
+  if (x >= 0.0 && x < 2.0 * kTwoPi) return x < kTwoPi ? x : x - kTwoPi;
+  if (x < 0.0 && x > -kTwoPi) return x;
+  return std::fmod(x, kTwoPi);
+}
+
+}  // namespace
+
 double wrapTwoPi(double theta) {
-  double r = std::fmod(theta, kTwoPi);
+  double r = fmodTwoPi(theta);
   if (r < 0.0) r += kTwoPi;
   return r;
 }
 
 double wrapPi(double theta) {
-  double r = std::fmod(theta + kPi, kTwoPi);
+  double r = fmodTwoPi(theta + kPi);
   if (r <= 0.0) r += kTwoPi;
   return r - kPi;
 }
@@ -20,19 +34,8 @@ double angleDiff(double a, double b) { return wrapPi(a - b); }
 
 void unwrapInPlace(double* phases, std::size_t n) {
   if (n < 2) return;
-  double offset = 0.0;
-  double prev = phases[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    const double raw = phases[i];
-    const double d = raw - prev;
-    if (d > kPi) {
-      offset -= kTwoPi;
-    } else if (d < -kPi) {
-      offset += kTwoPi;
-    }
-    prev = raw;
-    phases[i] = raw + offset;
-  }
+  PhaseUnwrapper unwrap{phases[0]};
+  for (std::size_t i = 1; i < n; ++i) phases[i] = unwrap.next(phases[i]);
 }
 
 void unwrapInPlace(std::vector<double>& phases) {

@@ -29,6 +29,25 @@ void unwrapInPlace(std::vector<double>& phases);
 /// Pointer-range variant for flat (structure-of-arrays) series.
 void unwrapInPlace(double* phases, std::size_t n);
 
+/// unwrapInPlace() one sample at a time, for series that grow: seed it with
+/// the first phase (which unwrapping leaves unchanged), then next() returns
+/// each later phase exactly as unwrapInPlace() would write it.
+struct PhaseUnwrapper {
+  double prev = 0.0;
+  double offset = 0.0;
+
+  double next(double raw) {
+    const double d = raw - prev;
+    if (d > kPi) {
+      offset -= kTwoPi;
+    } else if (d < -kPi) {
+      offset += kTwoPi;
+    }
+    prev = raw;
+    return raw + offset;
+  }
+};
+
 /// Non-mutating variant of unwrapInPlace.
 std::vector<double> unwrapped(std::vector<double> phases);
 

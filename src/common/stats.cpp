@@ -78,6 +78,10 @@ double rms(const std::vector<double>& xs) { return rms(xs.data(), xs.size()); }
 double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
 
 double percentile(std::vector<double> xs, double p) {
+  return percentileInPlace(xs, p);
+}
+
+double percentileInPlace(std::vector<double>& xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile: empty sample");
   if (p < 0.0 || p > 100.0)
     throw std::invalid_argument("percentile: p outside [0,100]");

@@ -49,6 +49,9 @@ double median(std::vector<double> xs);
 
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> xs, double p);
+/// percentile() without the copy: sorts `xs` in place (callers pass a
+/// reused buffer).
+double percentileInPlace(std::vector<double>& xs, double p);
 
 /// Empirical CDF evaluated at each of the (sorted) sample points; returns
 /// pairs (x, P[X ≤ x]).  Used by the Fig. 21 bench.

@@ -12,7 +12,7 @@
 namespace rfipad::core {
 
 /// Input hygiene counters for the streaming recogniser: what
-/// OnlineRecognizer::push() did with reports that were not clean, in-order,
+/// OnlineRecognizer::offer() did with reports that were not clean, in-order,
 /// in-range deliveries.  Lives here (not online.hpp) so evaluation and
 /// reporting code can consume the counters without pulling in the whole
 /// recogniser.
@@ -33,7 +33,7 @@ struct OnlineStats {
   /// clock jump is accepted once a second report corroborates it.
   std::uint64_t dropped_future = 0;
 
-  /// Everything push() refused (excludes duplicates/reordered, which were
+  /// Everything offer() refused (excludes duplicates/reordered, which were
   /// handled, not lost).
   std::uint64_t totalDropped() const {
     return dropped_invalid + dropped_late + dropped_unknown_tag +

@@ -10,11 +10,7 @@ namespace rfipad::core {
 OnlineRecognizer::OnlineRecognizer(StaticProfile profile, OnlineOptions options)
     : engine_(std::move(profile), options.engine),
       options_(options),
-      segmenter_(engine_.profile(), options.engine.segmenter) {}
-
-void OnlineRecognizer::push(const reader::TagReport& report) {
-  if (offer(report)) processDue(scratch_);
-}
+      segmentation_(engine_.profile(), options.engine.segmenter) {}
 
 RFIPAD_HOT_PATH
 bool OnlineRecognizer::offer(const reader::TagReport& report) {
@@ -53,7 +49,7 @@ bool OnlineRecognizer::offer(const reader::TagReport& report) {
   } else {
     future_pending_ = false;
   }
-  switch (buffer_.push(report)) {
+  switch (segmentation_.push(report)) {
     case reader::PushOutcome::kDuplicate:
       ++stats_.duplicates;
       return false;
@@ -85,22 +81,21 @@ void OnlineRecognizer::processDue(SegmentScratch& scratch) {
   process(watermark_, /*flushing=*/false, scratch);
 }
 
-void OnlineRecognizer::flush() { flushWith(scratch_); }
-
 void OnlineRecognizer::flushWith(SegmentScratch& scratch) {
   process_pending_ = false;
-  if (!buffer_.empty()) {
-    process(buffer_.endTime(), /*flushing=*/true, scratch);
+  const reader::SampleStream& buffer = segmentation_.stream();
+  if (!buffer.empty()) {
+    process(buffer.endTime(), /*flushing=*/true, scratch);
   }
-  maybeEmitLetter(buffer_.empty() ? 0.0 : buffer_.endTime(), /*flushing=*/true);
+  maybeEmitLetter(buffer.empty() ? 0.0 : buffer.endTime(), /*flushing=*/true);
 }
 
 void OnlineRecognizer::process(double now, bool flushing,
                                SegmentScratch& scratch) {
-  if (buffer_.empty()) return;
+  const reader::SampleStream& buffer = segmentation_.stream();
+  if (buffer.empty()) return;
 
-  const std::vector<Interval>& intervals =
-      segmenter_.segmentWith(buffer_, scratch);
+  const std::vector<Interval>& intervals = segmentation_.segmentWith(scratch);
   for (const Interval& iv : intervals) {
     // Buffer trimming can shift interval boundaries between rounds, so an
     // interval may straddle the consumed frontier; emit only its
@@ -114,11 +109,10 @@ void OnlineRecognizer::process(double now, bool flushing,
     const bool closed = flushing || (now - iv.t1 >= options_.close_after_s);
     if (!closed) break;  // later intervals are even more recent
 
-    StrokeEvent ev = engine_.classifyWindow(buffer_.slice(t0, iv.t1));
+    StrokeEvent ev = engine_.classifyWindow(buffer.slice(t0, iv.t1));
     ev.interval = {t0, iv.t1};
     consumed_until_ = iv.t1;
     if (!ev.observation.valid) continue;
-    emitted_.push_back(ev);
     letter_pending_.push_back(ev);
     if (stroke_cb_) stroke_cb_(ev);
   }
@@ -133,13 +127,13 @@ void OnlineRecognizer::process(double now, bool flushing,
 
   // Trim the buffer: everything consumed and beyond the horizon can go,
   // but always keep a half-window of context before unconsumed data.
-  // dropBefore() advances the stream's window in amortised O(1) instead of
-  // re-copying the survivors every round (the old slice-and-replace trim
-  // made each process() pass O(buffer) regardless of how little expired).
+  // dropBefore() advances the stream's window in amortised O(1).  It moves
+  // the frame grid, so the next pass re-segments the whole buffer; the 1 s
+  // hysteresis holds that to about one pass in six.
   const double keep_from =
       std::max(consumed_until_ - 0.5, now - options_.buffer_horizon_s);
-  if (buffer_.startTime() < keep_from - 1.0) {
-    buffer_.dropBefore(keep_from);
+  if (buffer.startTime() < keep_from - 1.0) {
+    segmentation_.dropBefore(keep_from);
   }
 }
 

@@ -2,11 +2,12 @@
 //
 // The batch RecognitionEngine assumes a complete capture; a deployment
 // receives LLRP reports one at a time and must react "instantly" (§I).
-// OnlineRecognizer buffers reports, re-segments the (bounded) buffer as
-// time advances, and emits a StrokeEvent as soon as a stroke window has
-// been quiet for `close_after_s` — the latency the paper measures in
-// Fig. 24.  When the pad stays quiet for `letter_gap_s` after one or more
-// strokes, they are composed into a letter.
+// OnlineRecognizer buffers reports in a StreamSegmenter, re-segments the
+// changed tail of the (bounded) buffer as time advances, and emits a
+// StrokeEvent as soon as a stroke window has been quiet for
+// `close_after_s` — the latency the paper measures in Fig. 24.  When the
+// pad stays quiet for `letter_gap_s` after one or more strokes, they are
+// composed into a letter.
 #pragma once
 
 #include <functional>
@@ -14,6 +15,7 @@
 
 #include "core/engine.hpp"
 #include "core/segmenter.hpp"
+#include "core/stream_segmenter.hpp"
 
 namespace rfipad::core {
 
@@ -44,32 +46,23 @@ class OnlineRecognizer {
   void onStroke(StrokeCallback cb) { stroke_cb_ = std::move(cb); }
   void onLetter(LetterCallback cb) { letter_cb_ = std::move(cb); }
 
-  /// Feed one report.  Tolerates real-transport untidiness: bounded
+  /// Buffer one report.  Tolerates real-transport untidiness: bounded
   /// out-of-order arrivals are reinserted at their timestamp, exact
   /// duplicates are dropped, and reports with non-finite/negative times,
   /// non-finite phase/RSSI or an out-of-range tag index are rejected with a
   /// counted drop (see stats()) instead of corrupting recognition state.
-  /// Equivalent to `if (offer(report)) processDue(<own scratch>)`.
-  void push(const reader::TagReport& report);
-
-  /// Scratch-sharing split of push(): buffer the report (same hygiene and
-  /// watermark rules) but defer the re-segmentation pass.  Returns true
-  /// when a pass is due — the caller must then call processDue() with its
-  /// scratch to stay bit-identical to the push() path.  This is how the
-  /// session serving layer shares one SegmentScratch across every
-  /// co-resident session on a shard.
+  /// Returns true when a segmentation pass is due: the caller then runs it
+  /// with processDue() and its scratch.  This is how the session serving
+  /// layer shares one SegmentScratch across every co-resident session on a
+  /// shard.
   bool offer(const reader::TagReport& report);
-  /// Run the re-segmentation pass recorded by offer() (no-op when none is
-  /// pending), using the caller's scratch for every working buffer.
+  /// Run the segmentation pass recorded by offer() (no-op when none is
+  /// pending).  The scratch holds only per-pass buffers; everything kept
+  /// between passes lives in this recogniser.
   void processDue(SegmentScratch& scratch);
 
   /// End of input: finalise any pending stroke and letter.
-  void flush();
-  /// flush() with a caller-provided scratch (serving-layer variant).
   void flushWith(SegmentScratch& scratch);
-
-  /// Strokes emitted so far (also delivered through the callback).
-  const std::vector<StrokeEvent>& strokes() const { return emitted_; }
 
   /// Input hygiene counters (see core/metrics.hpp; format with
   /// formatOnlineStats for reporting).
@@ -78,6 +71,8 @@ class OnlineRecognizer {
   /// The wrapped batch engine (letter-hypothesis decoding, options
   /// inspection).
   const RecognitionEngine& engine() const { return engine_; }
+  /// The report buffer and its streaming segmentation state.
+  const StreamSegmenter& segmentation() const { return segmentation_; }
 
  private:
   void process(double now, bool flushing, SegmentScratch& scratch);
@@ -85,17 +80,12 @@ class OnlineRecognizer {
 
   RecognitionEngine engine_;
   OnlineOptions options_;
-  /// Built once; segmentation state lives in the per-call scratch, so one
-  /// segmenter serves every re-segmentation round.
-  Segmenter segmenter_;
   StrokeCallback stroke_cb_;
   LetterCallback letter_cb_;
 
-  reader::SampleStream buffer_;
-  /// Working set for the push()/flush() convenience path.  Sessions served
-  /// by a shard bypass this and share the shard's scratch instead.
-  SegmentScratch scratch_;
-  /// Set by offer() when a re-segmentation pass is due; cleared by
+  /// The report buffer plus what segmentation keeps between passes.
+  StreamSegmenter segmentation_;
+  /// Set by offer() when a segmentation pass is due; cleared by
   /// processDue().
   bool process_pending_ = false;
   OnlineStats stats_;
@@ -114,7 +104,6 @@ class OnlineRecognizer {
   /// End of the most recent segmented activity (even if not yet closed).
   double last_activity_end_ = -1e18;
 
-  std::vector<StrokeEvent> emitted_;
   std::vector<StrokeEvent> letter_pending_;
 };
 

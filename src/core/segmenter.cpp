@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
-#include "core/activation.hpp"
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
 #include "common/vkernels.hpp"
@@ -37,76 +37,156 @@ const SegmentationTrace& Segmenter::traceInto(const reader::SampleStream& stream
   if (stream.empty()) return tr;
 
   const double t0 = stream.startTime();
-  const double t1 = stream.endTime();
-  // push() keeps the stream time-sorted and finite; the frame math below
-  // (bucket index = (t - t0)/frame_s) is only meaningful under that
-  // invariant.
-  RFIPAD_INVARIANT(t1 >= t0, "stream end precedes its start");
-  const int num_frames =
-      std::max(1, static_cast<int>(std::ceil((t1 - t0) / options_.frame_s)));
-  RFIPAD_INVARIANT(num_frames >= 1, "frame count must be positive");
+  const FrameRange range{t0, numFrames(t0, stream.endTime()), 0, 0};
+  FrameCarry& carry = scratch.carry;
+  carry.first = carry.end = 0;
+  carry.seeds.assign(stream.numTags(), UnwrapSeed{});
+  frameRange(stream.reports(), range, carry, scratch, tr);
+  windowRange(range, scratch, tr);
+  tr.threshold_used = resolveThreshold(tr.window_std, scratch.sorted);
+  return tr;
+}
 
-  // Flat SoA pass: samples grouped by tag, calibrated in place into one
-  // flat scratch buffer with the same layout.  Because each tag's slice is
-  // time-sorted and the frame index is monotone in time, every (tag, frame)
-  // bucket — and every (tag, window) pool — is a contiguous sub-slice of
-  // `theta`, so the old per-frame vector-of-vectors and per-window pooled
-  // copies disappear entirely.  All planes live in the caller's scratch and
-  // are fully rewritten here, so repeat calls perform no steady-state
-  // allocation and stay bit-identical to the allocate-fresh path.
-  stream.flatSeriesInto(scratch.fs);
-  const reader::FlatSeries& fs = scratch.fs;
-  const std::size_t num_tags = fs.num_tags;
+std::size_t Segmenter::numFrames(double t0, double t1) const {
+  // Reports are kept time-sorted and finite; the frame math (bucket index
+  // = (t - t0)/frame_s) is only meaningful under that invariant.
+  RFIPAD_INVARIANT(t1 >= t0, "stream end precedes its start");
+  return static_cast<std::size_t>(
+      std::max(1, static_cast<int>(std::ceil((t1 - t0) / options_.frame_s))));
+}
+
+std::size_t Segmenter::frameOf(double t, double t0,
+                               std::size_t num_frames) const {
+  const int g = static_cast<int>((t - t0) / options_.frame_s);
+  return static_cast<std::size_t>(
+      std::clamp(g, 0, static_cast<int>(num_frames) - 1));
+}
+
+void Segmenter::frameRange(std::span<const reader::TagReport> reports,
+                           const FrameRange& range, FrameCarry& carry,
+                           SegmentScratch& scratch,
+                           SegmentationTrace& tr) const {
+  RFIPAD_INVARIANT(range.first <= range.dirty && range.dirty < range.num_frames,
+                   "dirty frames must lie inside the pass");
+  RFIPAD_INVARIANT(carry.first == range.first && carry.end <= range.dirty,
+                   "the carry must cover the pass's clean frames from its first");
+  // Bucket the samples by (tag, frame) into one flat plane: tag-major, and
+  // time-ordered inside each tag (reports arrive time-sorted and the frame
+  // index is monotone in time).  starts[i·(G+1) + g] is where tag i's
+  // samples of frame first+g begin (G = the pass's frame count), so every
+  // (tag, frame) bucket — and every (tag, window) pool, [g, g+w) — is one
+  // contiguous slice of `theta`.  The bucket counts (carried ones, then a
+  // count pass over the reports) and an inclusive prefix sum over the
+  // tag-major table place the buckets; the carried samples are copied in
+  // and a scatter pass fills in the reports.
+  const std::size_t num_tags = carry.seeds.size();
+  const std::size_t G = range.num_frames - range.first;
+  const std::size_t row = G + 1;
+  const std::size_t carried = carry.end - carry.first;
+  std::vector<std::size_t>& starts = scratch.starts;
+  std::vector<std::uint32_t>& frame_of = scratch.frame_of;
+  starts.assign(num_tags * row, 0);
+  for (std::size_t i = 0; i < num_tags; ++i)
+    std::copy_n(carry.counts.data() + i * carried, carried,
+                starts.data() + i * row + 1);
+  frame_of.resize(reports.size());
+  for (std::size_t k = 0; k < reports.size(); ++k) {
+    const reader::TagReport& r = reports[k];
+    RFIPAD_INVARIANT(r.tag_index < num_tags, "report tag outside the pass");
+    const std::size_t g =
+        frameOf(r.time_s, range.t0, range.num_frames) - range.first;
+    RFIPAD_INVARIANT(g >= carried && g < G,
+                     "report outside the pass's new frames");
+    frame_of[k] = static_cast<std::uint32_t>(g);
+    ++starts[r.tag_index * row + g + 1];
+  }
+  std::partial_sum(starts.begin(), starts.end(), starts.begin());
   std::vector<double>& theta = scratch.theta;
-  theta.resize(fs.phases.size());
+  theta.resize(starts.empty() ? 0 : starts.back());
+  const double* carried_theta = carry.theta.data();
   for (std::size_t i = 0; i < num_tags; ++i) {
-    const std::size_t o0 = fs.offsets[i];
-    const std::size_t cnt = fs.offsets[i + 1] - o0;
-    if (cnt == 0) continue;
-    const double mean_phase =
-        i < profile_.numTags() ? profile_.tag(static_cast<std::uint32_t>(i)).mean_phase : 0.0;
-    calibratedPhasesInto(fs.phases.data() + o0, cnt, mean_phase,
-                         /*unwrap=*/true, theta.data() + o0);
+    const std::size_t* bounds = starts.data() + i * row;
+    const std::size_t n = bounds[carried] - bounds[0];
+    std::copy_n(carried_theta, n, theta.data() + bounds[0]);
+    carried_theta += n;
+  }
+  std::vector<std::size_t>& cursor = scratch.cursor;
+  cursor.assign(starts.begin(), starts.end());
+  for (std::size_t k = 0; k < reports.size(); ++k) {
+    const reader::TagReport& r = reports[k];
+    theta[cursor[r.tag_index * row + frame_of[k]]++] = r.phase_rad;
   }
 
-  // Per-tag frame boundaries: starts[i·(F+1) + f] is the first sample of
-  // tag i whose frame index is ≥ f, so tag i's frame-f bucket is
-  // theta[starts[f]..starts[f+1]) and its window [f, f+w) pool is
-  // theta[starts[f]..starts[f+w]).
-  const std::size_t F = static_cast<std::size_t>(num_frames);
-  std::vector<std::size_t>& starts = scratch.starts;
-  starts.resize(num_tags * (F + 1));
+  // The next pass redoes this pass's last frame, and its windows reach
+  // window_frames − 1 frames further back.
+  const std::size_t w = static_cast<std::size_t>(options_.window_frames);
+  const std::size_t next_end = range.num_frames - 1;
+  const std::size_t next_first = next_end >= w - 1 ? next_end - (w - 1) : 0;
+
+  // Calibrate (Eq. 8) and unwrap each tag's new samples in place,
+  // continuing from its seed; keep the seed at the start of frame next_end.
   for (std::size_t i = 0; i < num_tags; ++i) {
-    std::size_t* row = starts.data() + i * (F + 1);
-    std::size_t j = fs.offsets[i];
-    const std::size_t end = fs.offsets[i + 1];
-    for (std::size_t f = 0; f <= F; ++f) {
-      while (j < end) {
-        int g = static_cast<int>((fs.times[j] - t0) / options_.frame_s);
-        g = std::clamp(g, 0, num_frames - 1);
-        if (static_cast<std::size_t>(g) >= f) break;
-        ++j;
+    const double mean_phase =
+        i < profile_.numTags()
+            ? profile_.tag(static_cast<std::uint32_t>(i)).mean_phase
+            : 0.0;
+    UnwrapSeed& seed = carry.seeds[i];
+    auto calibrate = [&](std::size_t j0, std::size_t j1) {
+      for (std::size_t j = j0; j < j1; ++j) {
+        const double raw = angleDiff(theta[j], mean_phase);
+        if (seed.primed) {
+          theta[j] = seed.unwrap.next(raw);
+        } else {
+          seed = {PhaseUnwrapper{raw}, true};
+          theta[j] = raw;
+        }
       }
-      row[f] = j;
-    }
+    };
+    const std::size_t* bounds = starts.data() + i * row;
+    calibrate(bounds[carried], bounds[next_end - range.first]);
+    const UnwrapSeed at_next_end = seed;
+    calibrate(bounds[next_end - range.first], bounds[G]);
+    seed = at_next_end;
+  }
+
+  // The carry for the next pass: frames [next_first, next_end).
+  const std::size_t g0 = next_first - range.first;
+  const std::size_t g1 = next_end - range.first;
+  carry.first = next_first;
+  carry.end = next_end;
+  carry.counts.resize(num_tags * (g1 - g0));
+  carry.theta.clear();
+  for (std::size_t i = 0; i < num_tags; ++i) {
+    const std::size_t* bounds = starts.data() + i * row;
+    for (std::size_t g = g0; g < g1; ++g)
+      carry.counts[i * (g1 - g0) + (g - g0)] =
+          static_cast<std::uint32_t>(bounds[g + 1] - bounds[g]);
+    carry.theta.insert(carry.theta.end(), theta.data() + bounds[g0],
+                       theta.data() + bounds[g1]);
   }
 
   // Eq. 11: rms(f) = Σ_i sqrt(Σ_j p_ij² / n).  For the spatial-peakiness
   // refinement we use the per-tag RMS of *successive differences* (motion
   // energy) so a tag merely holding a phase offset does not count.
-  tr.frame_times.reserve(F);
-  tr.frame_rms.reserve(F);
-  for (std::size_t f = 0; f < F; ++f) {
+  tr.frame_times.resize(range.num_frames);
+  tr.frame_rms.resize(range.num_frames);
+  for (std::size_t f = range.dirty; f < range.num_frames; ++f) {
+    const std::size_t g = f - range.first;
     double sum = 0.0;
     for (std::size_t i = 0; i < num_tags; ++i) {
-      const std::size_t* row = starts.data() + i * (F + 1);
-      const std::size_t len = row[f + 1] - row[f];
-      if (len > 0) sum += rms(theta.data() + row[f], len);
+      const std::size_t* bounds = starts.data() + i * row;
+      const std::size_t len = bounds[g + 1] - bounds[g];
+      if (len > 0) sum += rms(theta.data() + bounds[g], len);
     }
-    tr.frame_times.push_back(t0 + (static_cast<double>(f) + 0.5) * options_.frame_s);
-    tr.frame_rms.push_back(sum);
+    tr.frame_times[f] =
+        range.t0 + (static_cast<double>(f) + 0.5) * options_.frame_s;
+    tr.frame_rms[f] = sum;
   }
+}
 
+void Segmenter::windowRange(const FrameRange& range,
+                            const SegmentScratch& scratch,
+                            SegmentationTrace& tr) const {
   // Sliding window of `window_frames` frames, stride one frame.  The
   // per-window spatial peak pools each tag's samples across the whole
   // window (frames alone hold too few reads for a stable estimate); the
@@ -114,30 +194,41 @@ const SegmentationTrace& Segmenter::traceInto(const reader::SampleStream& stream
   // dispatched Σ(Δx)² kernel without materialising the diffs.
   const int w = options_.window_frames;
   const std::size_t uw = static_cast<std::size_t>(w);
-  for (std::size_t f = 0; f + uw <= F; ++f) {
-    tr.window_times.push_back(
-        t0 + (static_cast<double>(f) + w / 2.0) * options_.frame_s);
-    tr.window_std.push_back(stddev(tr.frame_rms.data() + f, uw));
+  const std::size_t num_windows =
+      range.num_frames >= uw ? range.num_frames - uw + 1 : 0;
+  tr.window_times.resize(num_windows);
+  tr.window_std.resize(num_windows);
+  tr.window_peak.resize(num_windows);
+  const std::size_t first_window = range.dirty >= uw ? range.dirty - uw + 1 : 0;
+  RFIPAD_INVARIANT(first_window >= range.first || num_windows == 0,
+                   "window pools must lie inside the pass's planes");
+  const std::size_t row = range.num_frames - range.first + 1;
+  const std::size_t num_tags = scratch.starts.size() / row;
+  for (std::size_t f = first_window; f < num_windows; ++f) {
+    const std::size_t g = f - range.first;
+    tr.window_times[f] =
+        range.t0 + (static_cast<double>(f) + w / 2.0) * options_.frame_s;
+    tr.window_std[f] = stddev(tr.frame_rms.data() + f, uw);
     double peak = 0.0;
     for (std::size_t i = 0; i < num_tags; ++i) {
-      const std::size_t* row = starts.data() + i * (F + 1);
-      const std::size_t len = row[f + uw] - row[f];
+      const std::size_t* bounds = scratch.starts.data() + i * row;
+      const std::size_t len = bounds[g + uw] - bounds[g];
       if (len >= 3) {
-        const double ssd = vk::sumSquaredDiffs(theta.data() + row[f], len);
+        const double ssd =
+            vk::sumSquaredDiffs(scratch.theta.data() + bounds[g], len);
         peak = std::max(peak, std::sqrt(ssd / static_cast<double>(len - 1)));
       }
     }
-    tr.window_peak.push_back(peak);
+    tr.window_peak[f] = peak;
   }
-  tr.threshold_used = resolveThreshold(tr.window_std);
-  return tr;
 }
 
-double Segmenter::resolveThreshold(const std::vector<double>& window_stds) const {
+double Segmenter::resolveThreshold(const std::vector<double>& window_std,
+                                   std::vector<double>& sort_buffer) const {
   if (options_.threshold > 0.0) return options_.threshold;
-  if (window_stds.empty()) return options_.adaptive_floor;
-  const double floor_est =
-      percentile(std::vector<double>(window_stds), 20.0);
+  if (window_std.empty()) return options_.adaptive_floor;
+  sort_buffer.assign(window_std.begin(), window_std.end());
+  const double floor_est = percentileInPlace(sort_buffer, 20.0);
   return std::max(options_.adaptive_floor,
                   options_.adaptive_factor * floor_est);
 }
@@ -149,12 +240,16 @@ std::vector<Interval> Segmenter::segment(const reader::SampleStream& stream) con
 
 const std::vector<Interval>& Segmenter::segmentWith(
     const reader::SampleStream& stream, SegmentScratch& scratch) const {
+  return intervalsFrom(traceInto(stream, scratch), scratch);
+}
+
+const std::vector<Interval>& Segmenter::intervalsFrom(
+    const SegmentationTrace& tr, SegmentScratch& scratch) const {
   std::vector<Interval>& intervals = scratch.intervals;
   std::vector<Interval>& merged = scratch.merged;
   intervals.clear();
   merged.clear();
-  const SegmentationTrace& tr = traceInto(stream, scratch);
-  if (tr.window_std.empty()) return intervals;
+  if (tr.window_std.empty()) return merged;
   const double thr = tr.threshold_used;
   const double half_window = options_.window_frames * options_.frame_s / 2.0;
 

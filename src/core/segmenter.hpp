@@ -8,8 +8,11 @@
 // intervals between strokes.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/angles.hpp"
 #include "core/static_profile.hpp"
 #include "reader/sample_stream.hpp"
 
@@ -66,19 +69,60 @@ struct SegmentationTrace {
   double threshold_used = 0.0;
 };
 
-/// Reusable working set for traceInto()/segmentWith(): the SoA series, the
-/// calibrated-phase plane, the per-tag frame boundaries and the trace
-/// itself.  Every field is fully rewritten per call, so one scratch can be
-/// shared across repeated re-segmentation rounds — and across co-resident
-/// serving sessions on one shard — with zero steady-state allocation and
-/// bit-identical results (no state leaks between calls).
+/// Per-tag unwrap state at a frame boundary.
+struct UnwrapSeed {
+  PhaseUnwrapper unwrap;
+  /// False until the tag has a sample before the boundary.
+  bool primed = false;
+};
+
+/// The frames one pass covers, on the grid anchored at the stream's first
+/// report (t0).
+struct FrameRange {
+  double t0 = 0.0;
+  std::size_t num_frames = 0;
+  /// First frame of the pass's planes: every window it recomputes starts
+  /// here or later.
+  std::size_t first = 0;
+  /// First frame whose RMS the pass recomputes (≥ first).  Every window
+  /// overlapping it or a later frame is recomputed too, so `first` must be
+  /// at most window_frames − 1 frames before it.
+  std::size_t dirty = 0;
+};
+
+/// What a pass hands the next pass over the same, grown stream (see
+/// StreamSegmenter), so that pass re-reads only the frames it redoes: each
+/// tag's unwrap state at the start of frame `end`, and the calibrated
+/// samples of frames [first, end), which the next pass's windows still
+/// pool.  The next pass redoes frame `end` — this pass's last — onward.
+struct FrameCarry {
+  std::size_t first = 0;
+  std::size_t end = 0;
+  std::vector<UnwrapSeed> seeds;
+  /// Tag-major samples, and their count per (tag, frame): (end − first)
+  /// counts per tag.
+  std::vector<double> theta;
+  std::vector<std::uint32_t> counts;
+};
+
+/// Reusable working set for traceInto()/segmentWith(): one pass's samples
+/// bucketed by (tag, frame) and calibrated, the bucket bounds, the trace,
+/// the interval lists and the percentile buffer.  Every field is fully
+/// rewritten per pass, so one scratch can be shared across repeated
+/// segmentation rounds — and across co-resident serving sessions on one
+/// shard — with zero steady-state allocation and bit-identical results (no
+/// state leaks between passes).  A StreamSegmenter keeps its trace and
+/// carry itself and uses the scratch for the per-pass planes only.
 struct SegmentScratch {
-  reader::FlatSeries fs;
   std::vector<double> theta;
   std::vector<std::size_t> starts;
+  std::vector<std::size_t> cursor;
+  std::vector<std::uint32_t> frame_of;
+  FrameCarry carry;
   SegmentationTrace trace;
   std::vector<Interval> intervals;
   std::vector<Interval> merged;
+  std::vector<double> sorted;
 };
 
 class Segmenter {
@@ -103,7 +147,40 @@ class Segmenter {
   const StaticProfile& profile() const { return profile_; }
 
  private:
-  double resolveThreshold(const std::vector<double>& window_stds) const;
+  // Building blocks of traceInto()/segmentWith().  traceInto() runs them
+  // over every frame; StreamSegmenter runs them over the frames a pass
+  // dirtied, so both share one copy of the frame math.
+  friend class StreamSegmenter;
+
+  /// Frames on the grid anchored at a stream's first report: 100 ms frames
+  /// up to its last report, at least one.
+  std::size_t numFrames(double t0, double t1) const;
+  /// Frame of time t on that grid (the last frame absorbs the end).
+  std::size_t frameOf(double t, double t0, std::size_t num_frames) const;
+  /// Frames helper.  Buckets the pass's samples by (tag, frame) into the
+  /// scratch plane — frames [range.first, carry.end) from `carry` (which
+  /// must start at range.first and end at or before range.dirty), later
+  /// ones from `reports`, the stream from its first report in frame
+  /// carry.end on — calibrates the latter continuing from carry.seeds,
+  /// sizes tr's frame series to range.num_frames and recomputes frames
+  /// [range.dirty, range.num_frames).  Leaves in `carry` what the next
+  /// pass over the grown stream needs.
+  void frameRange(std::span<const reader::TagReport> reports,
+                  const FrameRange& range, FrameCarry& carry,
+                  SegmentScratch& scratch, SegmentationTrace& tr) const;
+  /// Windows helper: sizes tr's window series to tr's frames and recomputes
+  /// the std, peak and centre of every window overlapping frame
+  /// range.dirty or later, from the planes frameRange() left in `scratch`.
+  void windowRange(const FrameRange& range, const SegmentScratch& scratch,
+                   SegmentationTrace& tr) const;
+  /// The Eq. 12 threshold for a window-std series (adaptive mode sorts a
+  /// copy in `sort_buffer`).
+  double resolveThreshold(const std::vector<double>& window_std,
+                          std::vector<double>& sort_buffer) const;
+  /// Active windows → merged, refined, length-gated stroke intervals.
+  /// Works in scratch.intervals/merged; returns scratch.merged.
+  const std::vector<Interval>& intervalsFrom(const SegmentationTrace& tr,
+                                             SegmentScratch& scratch) const;
 
   StaticProfile profile_;
   SegmenterOptions options_;

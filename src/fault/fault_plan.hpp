@@ -166,7 +166,7 @@ class FaultPlan {
 
   /// Degrade a report sequence, preserving delivery order effects
   /// (duplicates stay adjacent, reorders swap neighbours).  This is the
-  /// feed for streaming consumers (OnlineRecognizer::push) and the
+  /// feed for streaming consumers (OnlineRecognizer::offer) and the
   /// per-chunk degradation hook of the session serving layer.
   std::vector<reader::TagReport> applyToReports(
       std::span<const reader::TagReport> reports, std::uint32_t numTags,

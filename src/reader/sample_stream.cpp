@@ -125,13 +125,8 @@ std::vector<TagSeries> SampleStream::allSeries() const {
 }
 
 FlatSeries SampleStream::flatSeries() const {
-  FlatSeries fs;
-  flatSeriesInto(fs);
-  return fs;
-}
-
-void SampleStream::flatSeriesInto(FlatSeries& out) const {
   const std::span<const TagReport> live = reports();
+  FlatSeries out;
   out.num_tags = num_tags_;
   out.offsets.assign(static_cast<std::size_t>(num_tags_) + 1, 0);
   for (const auto& r : live) {
@@ -145,13 +140,14 @@ void SampleStream::flatSeriesInto(FlatSeries& out) const {
   out.rssi.resize(live.size());
   // Scatter pass: reports are time-sorted, so writing each at its tag's
   // running cursor keeps time order within every tag slice.
-  out.scatter_cursor.assign(out.offsets.begin(), out.offsets.end() - 1);
+  std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
   for (const auto& r : live) {
-    const std::size_t k = out.scatter_cursor[r.tag_index]++;
+    const std::size_t k = cursor[r.tag_index]++;
     out.times[k] = r.time_s;
     out.phases[k] = r.phase_rad;
     out.rssi[k] = r.rssi_dbm;
   }
+  return out;
 }
 
 std::size_t SampleStream::countFor(std::uint32_t tagIndex) const {

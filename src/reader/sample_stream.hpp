@@ -33,9 +33,6 @@ struct FlatSeries {
   std::vector<double> times;
   std::vector<double> phases;
   std::vector<double> rssi;
-  /// Counting-sort scatter cursor, kept here so flatSeriesInto() refills
-  /// reuse its capacity too (zero steady-state allocation).
-  std::vector<std::size_t> scatter_cursor;
 
   std::size_t countFor(std::uint32_t tag) const {
     return offsets[tag + 1] - offsets[tag];
@@ -107,13 +104,8 @@ class SampleStream {
   TagSeries seriesFor(std::uint32_t tagIndex) const;
   /// All per-tag series (index == tag index; absent tags give empty series).
   std::vector<TagSeries> allSeries() const;
-  /// All per-tag series as one flat SoA block (the hot-path variant).
+  /// All per-tag series as one flat SoA block.
   FlatSeries flatSeries() const;
-  /// In-place variant: refills `out`, reusing every plane's capacity, so a
-  /// scratch FlatSeries shared across re-segmentation rounds (and across
-  /// co-resident serving sessions) performs no steady-state allocation.
-  /// Bit-identical to flatSeries().
-  void flatSeriesInto(FlatSeries& out) const;
 
   std::size_t countFor(std::uint32_t tagIndex) const;
   /// Aggregate read rate over the capture, reads/second.

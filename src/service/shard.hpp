@@ -22,12 +22,13 @@
 //     old two-lock read could produce.
 //
 // Cross-session batching: every session on the shard shares the shard's
-// one SegmentScratch — the SoA planes, calibrated-phase buffer, frame
-// tables and interval lists of the segmenter are allocated once per shard
-// instead of once per session (or worse, once per re-segmentation round).
-// With thousands of co-resident sessions this is the difference between a
-// cache-resident working set and thousands of cold heaps; outputs stay
-// bit-identical because the scratch is fully rewritten by each pass.
+// one SegmentScratch — the bucketed calibrated-phase plane, bucket bounds
+// and interval lists of each segmentation pass are allocated once per
+// shard instead of once per session; a session keeps only its trace and a
+// window's carry (core/stream_segmenter.hpp).  With thousands of
+// co-resident sessions this is the difference between a cache-resident
+// working set and thousands of cold heaps; outputs stay bit-identical
+// because a pass reads nothing from the scratch before rewriting it.
 #pragma once
 
 #include <atomic>

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "letter_stream.hpp"
 #include "sim/letters.hpp"
 #include "sim/scenario.hpp"
 
@@ -37,9 +42,25 @@ struct Rig {
   }
 };
 
+/// A recogniser driven through offer/processDue/flushWith with its own
+/// scratch, collecting every emitted stroke.
+struct Fed : OnlineRecognizer {
+  SegmentScratch scratch;
+  std::vector<StrokeEvent> strokes;
+
+  Fed(const StaticProfile& profile, const OnlineOptions& options)
+      : OnlineRecognizer(profile, options) {
+    onStroke([this](const StrokeEvent& ev) { strokes.push_back(ev); });
+  }
+  void feed(const reader::TagReport& r) {
+    if (offer(r)) processDue(scratch);
+  }
+  void finish() { flushWith(scratch); }
+};
+
 TEST(Online, EmitsStrokeShortlyAfterItEnds) {
   Rig rig;
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   std::vector<double> emit_times;
   rec.onStroke([&](const StrokeEvent& ev) {
     emit_times.push_back(ev.interval.t1);
@@ -50,13 +71,13 @@ TEST(Online, EmitsStrokeShortlyAfterItEnds) {
   double last_pushed = 0.0;
   double emitted_at_push_time = -1.0;
   for (const auto& r : cap.stream.reports()) {
-    rec.push(r);
+    rec.feed(r);
     last_pushed = r.time_s;
     if (!emit_times.empty() && emitted_at_push_time < 0.0) {
       emitted_at_push_time = last_pushed;
     }
   }
-  rec.flush();
+  rec.finish();
   ASSERT_FALSE(emit_times.empty());
   // The stroke was reported online — before the input stream ended, within
   // ~1 s of the window closing (the paper's online property).
@@ -70,22 +91,22 @@ TEST(Online, MatchesBatchRecognitionForSingleStroke) {
   const auto cap = rig.write(
       {sim::canonicalPlan({StrokeKind::kHLine, StrokeDir::kForward}, 0.1)});
 
-  OnlineRecognizer rec(rig.profile, rig.options);
-  for (const auto& r : cap.stream.reports()) rec.push(r);
-  rec.flush();
-  ASSERT_EQ(rec.strokes().size(), 1u);
-  EXPECT_EQ(rec.strokes()[0].observation.stroke.kind, StrokeKind::kHLine);
+  Fed rec(rig.profile, rig.options);
+  for (const auto& r : cap.stream.reports()) rec.feed(r);
+  rec.finish();
+  ASSERT_EQ(rec.strokes.size(), 1u);
+  EXPECT_EQ(rec.strokes[0].observation.stroke.kind, StrokeKind::kHLine);
 
   const RecognitionEngine batch(rig.profile, rig.options.engine);
   const auto batch_events = batch.detectStrokes(cap.stream);
   ASSERT_EQ(batch_events.size(), 1u);
   EXPECT_EQ(batch_events[0].observation.stroke.kind,
-            rec.strokes()[0].observation.stroke.kind);
+            rec.strokes[0].observation.stroke.kind);
 }
 
 TEST(Online, ComposesLetterAfterQuietGap) {
   Rig rig(57);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   char letter = '\0';
   std::size_t letter_strokes = 0;
   rec.onLetter([&](char c, const std::vector<StrokeEvent>& evs) {
@@ -94,8 +115,8 @@ TEST(Online, ComposesLetterAfterQuietGap) {
   });
 
   const auto cap = rig.write(sim::letterPlans('L', 0.12, 0.114));
-  for (const auto& r : cap.stream.reports()) rec.push(r);
-  rec.flush();
+  for (const auto& r : cap.stream.reports()) rec.feed(r);
+  rec.finish();
   EXPECT_EQ(letter, 'L');
   // Two real strokes; an occasional transition residue may ride along (the
   // robust decoder discounts it).
@@ -105,68 +126,68 @@ TEST(Online, ComposesLetterAfterQuietGap) {
 
 TEST(Online, QuietStreamEmitsNothing) {
   Rig rig(58);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   int strokes = 0, letters = 0;
   rec.onStroke([&](const StrokeEvent&) { ++strokes; });
   rec.onLetter([&](char, const std::vector<StrokeEvent>&) { ++letters; });
   const auto quiet = rig.scenario.captureStatic(3.0);
-  for (const auto& r : quiet.reports()) rec.push(r);
-  rec.flush();
+  for (const auto& r : quiet.reports()) rec.feed(r);
+  rec.finish();
   EXPECT_EQ(strokes, 0);
   EXPECT_EQ(letters, 0);
 }
 
 TEST(Online, NoDuplicateEmission) {
   Rig rig(59);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   const auto cap = rig.write(
       {sim::canonicalPlan({StrokeKind::kSlash, StrokeDir::kForward}, 0.1)});
-  for (const auto& r : cap.stream.reports()) rec.push(r);
-  rec.flush();
-  rec.flush();  // idempotent
-  EXPECT_EQ(rec.strokes().size(), 1u);
+  for (const auto& r : cap.stream.reports()) rec.feed(r);
+  rec.finish();
+  rec.finish();  // idempotent
+  EXPECT_EQ(rec.strokes.size(), 1u);
 }
 
 TEST(Online, TwoStrokesTwoEvents) {
   Rig rig(60);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   const auto cap = rig.write(
       {sim::canonicalPlan({StrokeKind::kVLine, StrokeDir::kForward}, 0.09),
        sim::canonicalPlan({StrokeKind::kHLine, StrokeDir::kForward}, 0.09)});
-  for (const auto& r : cap.stream.reports()) rec.push(r);
-  rec.flush();
-  EXPECT_EQ(rec.strokes().size(), 2u);
+  for (const auto& r : cap.stream.reports()) rec.feed(r);
+  rec.finish();
+  EXPECT_EQ(rec.strokes.size(), 2u);
 }
 
 TEST(Online, RejectsInvalidReportsWithCountedDrop) {
   Rig rig(61);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
 
   reader::TagReport r;
   r.tag_index = 3;
   r.time_s = std::numeric_limits<double>::quiet_NaN();
   r.phase_rad = 1.0;
   r.rssi_dbm = -40.0;
-  rec.push(r);
+  rec.feed(r);
   r.time_s = -0.5;
-  rec.push(r);
+  rec.feed(r);
   r.time_s = 0.5;
   r.phase_rad = std::numeric_limits<double>::infinity();
-  rec.push(r);
+  rec.feed(r);
   r.phase_rad = 1.0;
   r.rssi_dbm = std::numeric_limits<double>::quiet_NaN();
-  rec.push(r);
+  rec.feed(r);
   EXPECT_EQ(rec.stats().dropped_invalid, 4u);
   EXPECT_EQ(rec.stats().accepted, 0u);
 
   // An out-of-range tag index (corrupted EPC) is dropped, not allocated.
   r.rssi_dbm = -40.0;
   r.tag_index = 1u << 20;
-  rec.push(r);
+  rec.feed(r);
   EXPECT_EQ(rec.stats().dropped_unknown_tag, 1u);
 
-  rec.flush();
-  EXPECT_TRUE(rec.strokes().empty());
+  rec.finish();
+  EXPECT_TRUE(rec.strokes.empty());
 }
 
 TEST(Online, ToleratesReorderAndDuplicateDelivery) {
@@ -176,45 +197,45 @@ TEST(Online, ToleratesReorderAndDuplicateDelivery) {
   const auto cap = rig.write(
       {sim::canonicalPlan({StrokeKind::kHLine, StrokeDir::kForward}, 0.1)});
 
-  OnlineRecognizer clean(rig.profile, rig.options);
-  for (const auto& r : cap.stream.reports()) clean.push(r);
-  clean.flush();
+  Fed clean(rig.profile, rig.options);
+  for (const auto& r : cap.stream.reports()) clean.feed(r);
+  clean.finish();
 
-  OnlineRecognizer messy(rig.profile, rig.options);
+  Fed messy(rig.profile, rig.options);
   const auto& reports = cap.stream.reports();
   for (std::size_t i = 0; i + 1 < reports.size(); i += 2) {
-    messy.push(reports[i + 1]);  // swapped pair
-    messy.push(reports[i]);
-    if (i % 10 == 0) messy.push(reports[i]);  // occasional re-delivery
+    messy.feed(reports[i + 1]);  // swapped pair
+    messy.feed(reports[i]);
+    if (i % 10 == 0) messy.feed(reports[i]);  // occasional re-delivery
   }
-  if (reports.size() % 2 == 1) messy.push(reports.back());
-  messy.flush();
+  if (reports.size() % 2 == 1) messy.feed(reports.back());
+  messy.finish();
 
   EXPECT_GT(messy.stats().reordered, 0u);
   EXPECT_GT(messy.stats().duplicates, 0u);
-  ASSERT_EQ(messy.strokes().size(), clean.strokes().size());
-  for (std::size_t i = 0; i < messy.strokes().size(); ++i) {
-    EXPECT_EQ(messy.strokes()[i].observation.stroke.kind,
-              clean.strokes()[i].observation.stroke.kind);
+  ASSERT_EQ(messy.strokes.size(), clean.strokes.size());
+  for (std::size_t i = 0; i < messy.strokes.size(); ++i) {
+    EXPECT_EQ(messy.strokes[i].observation.stroke.kind,
+              clean.strokes[i].observation.stroke.kind);
   }
 }
 
 TEST(Online, LateReportsBehindConsumedFrontierAreDropped) {
   Rig rig(63);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   const auto cap = rig.write(
       {sim::canonicalPlan({StrokeKind::kVLine, StrokeDir::kForward}, 0.1)});
-  for (const auto& r : cap.stream.reports()) rec.push(r);
-  rec.flush();
-  ASSERT_FALSE(rec.strokes().empty());
+  for (const auto& r : cap.stream.reports()) rec.feed(r);
+  rec.finish();
+  ASSERT_FALSE(rec.strokes.empty());
 
   // Replay a report from deep inside the consumed window: it must be
   // dropped (counted), not re-open recognition.
-  const std::size_t emitted = rec.strokes().size();
-  rec.push(cap.stream.reports().front());
+  const std::size_t emitted = rec.strokes.size();
+  rec.feed(cap.stream.reports().front());
   EXPECT_EQ(rec.stats().dropped_late, 1u);
-  rec.flush();
-  EXPECT_EQ(rec.strokes().size(), emitted);
+  rec.finish();
+  EXPECT_EQ(rec.strokes.size(), emitted);
 }
 
 TEST(Online, IsolatedFutureTimestampCannotStallTheClock) {
@@ -226,27 +247,27 @@ TEST(Online, IsolatedFutureTimestampCannotStallTheClock) {
   const auto cap = rig.write(
       {sim::canonicalPlan({StrokeKind::kHLine, StrokeDir::kForward}, 0.1)});
 
-  OnlineRecognizer clean(rig.profile, rig.options);
-  for (const auto& r : cap.stream.reports()) clean.push(r);
-  clean.flush();
+  Fed clean(rig.profile, rig.options);
+  for (const auto& r : cap.stream.reports()) clean.feed(r);
+  clean.finish();
 
-  OnlineRecognizer glitched(rig.profile, rig.options);
+  Fed glitched(rig.profile, rig.options);
   const auto& reports = cap.stream.reports();
   for (std::size_t i = 0; i < reports.size(); ++i) {
     if (i == reports.size() / 3) {
       reader::TagReport bad = reports[i];
       bad.time_s = 9.2e12;  // 2^63 microseconds, as decoded from the wire
-      glitched.push(bad);
+      glitched.feed(bad);
     }
-    glitched.push(reports[i]);
+    glitched.feed(reports[i]);
   }
-  glitched.flush();
+  glitched.finish();
 
   EXPECT_EQ(glitched.stats().dropped_future, 1u);
-  ASSERT_EQ(glitched.strokes().size(), clean.strokes().size());
-  for (std::size_t i = 0; i < glitched.strokes().size(); ++i) {
-    EXPECT_EQ(glitched.strokes()[i].observation.stroke.kind,
-              clean.strokes()[i].observation.stroke.kind);
+  ASSERT_EQ(glitched.strokes.size(), clean.strokes.size());
+  for (std::size_t i = 0; i < glitched.strokes.size(); ++i) {
+    EXPECT_EQ(glitched.strokes[i].observation.stroke.kind,
+              clean.strokes[i].observation.stroke.kind);
   }
 }
 
@@ -255,20 +276,20 @@ TEST(Online, CorroboratedClockJumpIsAccepted) {
   // *consecutive* reports at the new time; the second one corroborates the
   // first and the stream continues at the jumped clock.
   Rig rig(65);
-  OnlineRecognizer rec(rig.profile, rig.options);
+  Fed rec(rig.profile, rig.options);
   reader::TagReport r;
   r.tag_index = 3;
   r.phase_rad = 1.0;
   r.rssi_dbm = -40.0;
   for (int i = 0; i < 10; ++i) {
     r.time_s = 0.1 * i;
-    rec.push(r);
+    rec.feed(r);
     r.phase_rad += 0.01;  // avoid the duplicate filter
   }
   const double jump = 500.0;
   for (int i = 0; i < 10; ++i) {
     r.time_s = jump + 0.1 * i;
-    rec.push(r);
+    rec.feed(r);
     r.phase_rad += 0.01;
   }
   // Only the first post-jump report is held for corroboration.
@@ -276,48 +297,63 @@ TEST(Online, CorroboratedClockJumpIsAccepted) {
   EXPECT_EQ(rec.stats().accepted, 19u);
 }
 
-TEST(Online, OfferProcessDueWithSharedScratchMatchesPush) {
-  // The split API (offer + processDue with an external scratch) is how the
-  // serving layer drives recognisers while sharing one scratch across the
-  // sessions of a shard.  It must reproduce push() exactly — including when
-  // two recognisers interleave on the same scratch.
-  Rig rig;
-  const auto cap = rig.write(sim::letterPlans('L', 0.12, 0.114));
+TEST(Online, SharedScratchMatchesOwnScratch) {
+  // The serving layer drives every session of a shard with one shared
+  // SegmentScratch, while each recogniser keeps its segmentation state.
+  // Two recognisers fed different letter streams, interleaved report by
+  // report on one scratch, must emit exactly what each emits with a
+  // scratch of its own: nothing may leak between the two through it.
+  const testing::LetterStream a = testing::buildLetterStream(/*seed=*/1);
+  const testing::LetterStream b = testing::buildLetterStream(/*seed=*/2);
+  const OnlineOptions opt_a = testing::servingOptions(a.options);
+  const OnlineOptions opt_b = testing::servingOptions(b.options);
 
-  OnlineRecognizer reference(rig.profile, rig.options);
-  OnlineRecognizer split_a(rig.profile, rig.options);
-  OnlineRecognizer split_b(rig.profile, rig.options);
-  std::string ref_letters, a_letters, b_letters;
-  reference.onLetter(
-      [&](char c, const std::vector<StrokeEvent>&) { ref_letters += c; });
-  split_a.onLetter(
-      [&](char c, const std::vector<StrokeEvent>&) { a_letters += c; });
-  split_b.onLetter(
-      [&](char c, const std::vector<StrokeEvent>&) { b_letters += c; });
+  struct Output {
+    std::string letters;
+    std::vector<Interval> strokes;
+  };
+  auto record = [](OnlineRecognizer& rec, Output& out) {
+    rec.onLetter([&out](char c, const std::vector<StrokeEvent>&) { out.letters += c; });
+    rec.onStroke([&out](const StrokeEvent& ev) { out.strokes.push_back(ev.interval); });
+  };
+  auto own = [&](const testing::LetterStream& ls, const OnlineOptions& opt) {
+    OnlineRecognizer rec(ls.profile, opt);
+    Output out;
+    record(rec, out);
+    SegmentScratch scratch;
+    for (const auto& r : ls.reports)
+      if (rec.offer(r)) rec.processDue(scratch);
+    rec.flushWith(scratch);
+    return out;
+  };
+  const Output own_a = own(a, opt_a);
+  const Output own_b = own(b, opt_b);
 
-  SegmentScratch scratch;
-  for (const auto& r : cap.stream.reports()) {
-    reference.push(r);
-    if (split_a.offer(r)) split_a.processDue(scratch);
-    if (split_b.offer(r)) split_b.processDue(scratch);
+  OnlineRecognizer rec_a(a.profile, opt_a);
+  OnlineRecognizer rec_b(b.profile, opt_b);
+  Output shared_a, shared_b;
+  record(rec_a, shared_a);
+  record(rec_b, shared_b);
+  SegmentScratch shared;
+  for (std::size_t k = 0; k < std::max(a.reports.size(), b.reports.size()); ++k) {
+    if (k < a.reports.size() && rec_a.offer(a.reports[k])) rec_a.processDue(shared);
+    if (k < b.reports.size() && rec_b.offer(b.reports[k])) rec_b.processDue(shared);
   }
-  reference.flush();
-  split_a.flushWith(scratch);
-  split_b.flushWith(scratch);
+  rec_a.flushWith(shared);
+  rec_b.flushWith(shared);
 
-  EXPECT_EQ(a_letters, ref_letters);
-  EXPECT_EQ(b_letters, ref_letters);
-  ASSERT_EQ(split_a.strokes().size(), reference.strokes().size());
-  for (std::size_t i = 0; i < reference.strokes().size(); ++i) {
-    EXPECT_DOUBLE_EQ(split_a.strokes()[i].interval.t0,
-                     reference.strokes()[i].interval.t0);
-    EXPECT_DOUBLE_EQ(split_a.strokes()[i].interval.t1,
-                     reference.strokes()[i].interval.t1);
-    EXPECT_EQ(split_a.strokes()[i].observation.stroke.kind,
-              reference.strokes()[i].observation.stroke.kind);
+  EXPECT_FALSE(own_a.letters.empty());
+  EXPECT_NE(own_a.letters, own_b.letters);
+  EXPECT_EQ(shared_a.letters, own_a.letters);
+  EXPECT_EQ(shared_b.letters, own_b.letters);
+  for (const auto& [shared_out, own_out] :
+       {std::pair{&shared_a, &own_a}, std::pair{&shared_b, &own_b}}) {
+    ASSERT_EQ(shared_out->strokes.size(), own_out->strokes.size());
+    for (std::size_t i = 0; i < own_out->strokes.size(); ++i) {
+      EXPECT_EQ(shared_out->strokes[i].t0, own_out->strokes[i].t0);
+      EXPECT_EQ(shared_out->strokes[i].t1, own_out->strokes[i].t1);
+    }
   }
-  EXPECT_EQ(split_a.stats().accepted, reference.stats().accepted);
-  EXPECT_EQ(split_b.stats().accepted, reference.stats().accepted);
 }
 
 }  // namespace

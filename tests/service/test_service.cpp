@@ -90,9 +90,11 @@ std::string directLetters(
   rec.onLetter([&](char c, const std::vector<core::StrokeEvent>&) {
     letters.push_back(c);
   });
+  core::SegmentScratch scratch;
   for (const auto& chunk : chunks)
-    for (const auto& r : chunk) rec.push(r);
-  rec.flush();
+    for (const auto& r : chunk)
+      if (rec.offer(r)) rec.processDue(scratch);
+  rec.flushWith(scratch);
   return letters;
 }
 
