@@ -49,17 +49,14 @@ RecognitionEngine::RecognitionEngine(StaticProfile profile, EngineOptions option
     throw std::invalid_argument("RecognitionEngine: profile/grid size mismatch");
   if (!options_.tag_xy.empty() && options_.tag_xy.size() != n)
     throw std::invalid_argument("RecognitionEngine: tag_xy size mismatch");
-}
-
-std::vector<Vec2> RecognitionEngine::effectiveTagXy() const {
-  if (!options_.tag_xy.empty()) return options_.tag_xy;
-  // Unit grid matching the row-major tag layout.
-  std::vector<Vec2> xy;
-  xy.reserve(static_cast<std::size_t>(options_.rows) * options_.cols);
-  for (int r = 0; r < options_.rows; ++r)
-    for (int c = 0; c < options_.cols; ++c)
-      xy.push_back({static_cast<double>(c), static_cast<double>(r)});
-  return xy;
+  tag_xy_ = options_.tag_xy;
+  if (tag_xy_.empty()) {
+    // Unit grid matching the row-major tag layout.
+    tag_xy_.reserve(n);
+    for (int r = 0; r < options_.rows; ++r)
+      for (int c = 0; c < options_.cols; ++c)
+        tag_xy_.push_back({static_cast<double>(c), static_cast<double>(r)});
+  }
 }
 
 StrokeEvent RecognitionEngine::classifyWindow(

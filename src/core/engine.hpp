@@ -97,10 +97,13 @@ class RecognitionEngine {
   static ObservedStroke toObserved(const StrokeEvent& event);
 
  private:
-  std::vector<Vec2> effectiveTagXy() const;
+  /// options_.tag_xy, or a unit grid in row-major tag order when empty;
+  /// resolved once by the constructor.
+  const std::vector<Vec2>& effectiveTagXy() const { return tag_xy_; }
 
   StaticProfile profile_;
   EngineOptions options_;
+  std::vector<Vec2> tag_xy_;
 };
 
 }  // namespace rfipad::core

@@ -83,7 +83,7 @@ void OnlineRecognizer::processDue(SegmentScratch& scratch) {
 
 void OnlineRecognizer::flushWith(SegmentScratch& scratch) {
   process_pending_ = false;
-  const reader::SampleStream& buffer = segmentation_.stream();
+  const ReportBuffer& buffer = segmentation_.buffer();
   if (!buffer.empty()) {
     process(buffer.endTime(), /*flushing=*/true, scratch);
   }
@@ -92,7 +92,7 @@ void OnlineRecognizer::flushWith(SegmentScratch& scratch) {
 
 void OnlineRecognizer::process(double now, bool flushing,
                                SegmentScratch& scratch) {
-  const reader::SampleStream& buffer = segmentation_.stream();
+  const ReportBuffer& buffer = segmentation_.buffer();
   if (buffer.empty()) return;
 
   const std::vector<Interval>& intervals = segmentation_.segmentWith(scratch);
@@ -109,6 +109,8 @@ void OnlineRecognizer::process(double now, bool flushing,
     const bool closed = flushing || (now - iv.t1 >= options_.close_after_s);
     if (!closed) break;  // later intervals are even more recent
 
+    // TagReports are rebuilt for this window only; the buffer keeps the
+    // compact reads.
     StrokeEvent ev = engine_.classifyWindow(buffer.slice(t0, iv.t1));
     ev.interval = {t0, iv.t1};
     consumed_until_ = iv.t1;
@@ -127,7 +129,7 @@ void OnlineRecognizer::process(double now, bool flushing,
 
   // Trim the buffer: everything consumed and beyond the horizon can go,
   // but always keep a half-window of context before unconsumed data.
-  // dropBefore() advances the stream's window in amortised O(1).  It moves
+  // dropBefore() advances the buffer's window in amortised O(1).  It moves
   // the frame grid, so the next pass re-segments the whole buffer; the 1 s
   // hysteresis holds that to about one pass in six.
   const double keep_from =

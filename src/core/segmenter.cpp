@@ -8,6 +8,7 @@
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
 #include "common/vkernels.hpp"
+#include "core/report_buffer.hpp"
 
 namespace rfipad::core {
 
@@ -62,7 +63,8 @@ std::size_t Segmenter::frameOf(double t, double t0,
       std::clamp(g, 0, static_cast<int>(num_frames) - 1));
 }
 
-void Segmenter::frameRange(std::span<const reader::TagReport> reports,
+template <class Read>
+void Segmenter::frameRange(std::span<const Read> reports,
                            const FrameRange& range, FrameCarry& carry,
                            SegmentScratch& scratch,
                            SegmentationTrace& tr) const {
@@ -91,7 +93,7 @@ void Segmenter::frameRange(std::span<const reader::TagReport> reports,
                 starts.data() + i * row + 1);
   frame_of.resize(reports.size());
   for (std::size_t k = 0; k < reports.size(); ++k) {
-    const reader::TagReport& r = reports[k];
+    const Read& r = reports[k];
     RFIPAD_INVARIANT(r.tag_index < num_tags, "report tag outside the pass");
     const std::size_t g =
         frameOf(r.time_s, range.t0, range.num_frames) - range.first;
@@ -113,7 +115,7 @@ void Segmenter::frameRange(std::span<const reader::TagReport> reports,
   std::vector<std::size_t>& cursor = scratch.cursor;
   cursor.assign(starts.begin(), starts.end());
   for (std::size_t k = 0; k < reports.size(); ++k) {
-    const reader::TagReport& r = reports[k];
+    const Read& r = reports[k];
     theta[cursor[r.tag_index * row + frame_of[k]]++] = r.phase_rad;
   }
 
@@ -183,6 +185,13 @@ void Segmenter::frameRange(std::span<const reader::TagReport> reports,
     tr.frame_rms[f] = sum;
   }
 }
+
+template void Segmenter::frameRange(std::span<const reader::TagReport>,
+                                    const FrameRange&, FrameCarry&,
+                                    SegmentScratch&, SegmentationTrace&) const;
+template void Segmenter::frameRange(std::span<const BufferedRead>,
+                                    const FrameRange&, FrameCarry&,
+                                    SegmentScratch&, SegmentationTrace&) const;
 
 void Segmenter::windowRange(const FrameRange& range,
                             const SegmentScratch& scratch,

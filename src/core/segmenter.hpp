@@ -160,14 +160,17 @@ class Segmenter {
   /// Frames helper.  Buckets the pass's samples by (tag, frame) into the
   /// scratch plane — frames [range.first, carry.end) from `carry` (which
   /// must start at range.first and end at or before range.dirty), later
-  /// ones from `reports`, the stream from its first report in frame
-  /// carry.end on — calibrates the latter continuing from carry.seeds,
-  /// sizes tr's frame series to range.num_frames and recomputes frames
+  /// ones from `reads`, the stream from its first read in frame carry.end
+  /// on — calibrates the latter continuing from carry.seeds, sizes tr's
+  /// frame series to range.num_frames and recomputes frames
   /// [range.dirty, range.num_frames).  Leaves in `carry` what the next
-  /// pass over the grown stream needs.
-  void frameRange(std::span<const reader::TagReport> reports,
-                  const FrameRange& range, FrameCarry& carry,
-                  SegmentScratch& scratch, SegmentationTrace& tr) const;
+  /// pass over the grown stream needs.  `Read` is reader::TagReport (the
+  /// batch path) or BufferedRead (StreamSegmenter's buffer); only its
+  /// tag_index, time_s and phase_rad are read.
+  template <class Read>
+  void frameRange(std::span<const Read> reads, const FrameRange& range,
+                  FrameCarry& carry, SegmentScratch& scratch,
+                  SegmentationTrace& tr) const;
   /// Windows helper: sizes tr's window series to tr's frames and recomputes
   /// the std, peak and centre of every window overlapping frame
   /// range.dirty or later, from the planes frameRange() left in `scratch`.

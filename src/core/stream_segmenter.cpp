@@ -22,16 +22,16 @@ StreamSegmenter::StreamSegmenter(StaticProfile profile, SegmenterOptions options
 
 RFIPAD_HOT_PATH
 reader::PushOutcome StreamSegmenter::push(const reader::TagReport& report) {
-  const reader::PushOutcome outcome = stream_.push(report);
+  const reader::PushOutcome outcome = buffer_.push(report);
   if (outcome == reader::PushOutcome::kReordered)
     reordered_from_ = std::min(reordered_from_, report.time_s);
   return outcome;
 }
 
 void StreamSegmenter::dropBefore(double t) {
-  const std::size_t before = stream_.size();
-  stream_.dropBefore(t);
-  trimmed_ = trimmed_ || stream_.size() != before;
+  const std::size_t before = buffer_.size();
+  buffer_.dropBefore(t);
+  trimmed_ = trimmed_ || buffer_.size() != before;
 }
 
 const std::vector<Interval>& StreamSegmenter::segmentWith(
@@ -43,7 +43,7 @@ const std::vector<Interval>& StreamSegmenter::segmentWith(
   reordered_from_ = std::numeric_limits<double>::infinity();
   const bool trimmed = trimmed_;
   trimmed_ = false;
-  if (stream_.empty()) {
+  if (buffer_.empty()) {
     trace_.frame_times.clear();
     trace_.frame_rms.clear();
     trace_.window_times.clear();
@@ -56,9 +56,9 @@ const std::vector<Interval>& StreamSegmenter::segmentWith(
     return segmenter_.intervalsFrom(trace_, scratch);
   }
 
-  const double t0 = stream_.startTime();
-  const std::size_t num_frames = segmenter_.numFrames(t0, stream_.endTime());
-  const std::size_t num_tags = stream_.numTags();
+  const double t0 = buffer_.startTime();
+  const std::size_t num_frames = segmenter_.numFrames(t0, buffer_.endTime());
+  const std::size_t num_tags = buffer_.numTags();
   const std::size_t w =
       static_cast<std::size_t>(segmenter_.options().window_frames);
   // The grid is anchored at the first report: a trim or an insert before
@@ -88,12 +88,13 @@ const std::vector<Interval>& StreamSegmenter::segmentWith(
     releaseSlack(trace_.window_peak, num_frames);
   }
 
-  const std::span<const reader::TagReport> reports = stream_.reports();
+  const std::span<const BufferedRead> reads = buffer_.reads();
   const auto from = std::partition_point(
-      reports.begin(), reports.end(), [&](const reader::TagReport& r) {
+      reads.begin(), reads.end(), [&](const BufferedRead& r) {
         return segmenter_.frameOf(r.time_s, t0, num_frames) < carry_.end;
       });
-  segmenter_.frameRange({from, reports.end()}, range, carry_, scratch, trace_);
+  const auto skip = static_cast<std::size_t>(from - reads.begin());
+  segmenter_.frameRange(reads.subspan(skip), range, carry_, scratch, trace_);
   segmenter_.windowRange(range, scratch, trace_);
   trace_.threshold_used =
       segmenter_.resolveThreshold(trace_.window_std, scratch.sorted);

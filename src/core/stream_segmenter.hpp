@@ -4,13 +4,14 @@
 // `process_interval_s`.  Re-running Segmenter::segmentWith over the whole
 // buffer frames, calibrates and reduces every retained sample again on
 // every pass, although only the newest ~0.3 s changed.  StreamSegmenter
-// owns the buffer and keeps, between passes, the trace (frame RMS, window
-// std and peak) and a small FrameCarry: each tag's unwrap state at the
-// start of the last frame, and the calibrated samples of the
-// window_frames − 1 frames before it.  A pass then recomputes only the
-// frames and windows that changed, and its trace, threshold and intervals
-// are bit-identical to segmentWith() over the same buffer.  What a pass
-// must redo follows from traceInto():
+// owns the buffer (a compact ReportBuffer) and keeps, between passes, the
+// trace (frame RMS, window std and peak) and a small FrameCarry: each
+// tag's unwrap state at the start of the last frame, and the calibrated
+// samples of the window_frames − 1 frames before it.  A pass then
+// recomputes only the frames and windows that changed, and its trace,
+// threshold and intervals are bit-identical to segmentWith() over a
+// SampleStream fed the same reports.  What a pass must redo follows from
+// traceInto():
 //   - the frame grid is anchored at the buffer's first report, so a trim
 //     (dropBefore) or a report inserted before the start redoes everything;
 //   - the previous last frame is always redone: the frame count rounds up
@@ -31,8 +32,8 @@
 #include <limits>
 #include <vector>
 
+#include "core/report_buffer.hpp"
 #include "core/segmenter.hpp"
-#include "reader/sample_stream.hpp"
 
 namespace rfipad::core {
 
@@ -52,22 +53,24 @@ class StreamSegmenter {
  public:
   StreamSegmenter(StaticProfile profile, SegmenterOptions options = {});
 
-  /// Buffer one report (reader::SampleStream::push semantics); an
-  /// out-of-order insert marks the frames from its time on for the next
-  /// pass.  Allocation-free once the buffer has reached its working size.
+  /// Buffer one report (ReportBuffer::push, i.e. reader::SampleStream::push
+  /// semantics); an out-of-order insert marks the frames from its time on
+  /// for the next pass.  Allocation-free once the buffer has reached its
+  /// working size.
   reader::PushOutcome push(const reader::TagReport& report);
-  /// Drop every report before t (SampleStream::dropBefore); moves the frame
+  /// Drop every report before t (ReportBuffer::dropBefore); moves the frame
   /// grid, so the next pass redoes every frame.
   void dropBefore(double t);
 
   /// Bring the trace up to date with the buffer and return the stroke
-  /// intervals — bit-identical to segmenter().segmentWith(stream(), ...).
+  /// intervals — bit-identical to segmenter().segmentWith() over a
+  /// SampleStream given the same push/dropBefore calls.
   /// The pass's planes and the intervals live in `scratch` (valid until its
   /// next use); the pass reads nothing from it before rewriting it, so many
   /// StreamSegmenters can share one.
   const std::vector<Interval>& segmentWith(SegmentScratch& scratch);
 
-  const reader::SampleStream& stream() const { return stream_; }
+  const ReportBuffer& buffer() const { return buffer_; }
   /// The trace as of the latest segmentWith().
   const SegmentationTrace& trace() const { return trace_; }
   const Segmenter& segmenter() const { return segmenter_; }
@@ -75,7 +78,7 @@ class StreamSegmenter {
 
  private:
   Segmenter segmenter_;
-  reader::SampleStream stream_;
+  ReportBuffer buffer_;
   SegmentationTrace trace_;
   /// The previous pass's hand-over: unwrap seeds at its last frame and the
   /// calibrated samples of the window_frames − 1 frames before it.

@@ -72,6 +72,8 @@ struct ServiceStats {
   std::uint64_t sessions_attached = 0;  ///< lifetime attach count
   std::uint64_t sessions_active = 0;
   std::uint64_t letters_emitted = 0;
+  /// Letter events evicted unpolled (Session::kMaxRetainedEvents).
+  std::uint64_t events_evicted = 0;
 };
 
 struct AttachCmd {

@@ -23,6 +23,10 @@ Session::Session(SessionId id, SessionConfig config)
         if (!collect_events_) return;
         const double end_s =
             strokes.empty() ? 0.0 : strokes.back().interval.t1;
+        if (events_.size() == kMaxRetainedEvents) {
+          events_.erase(events_.begin());
+          ++events_evicted_;
+        }
         events_.push_back({id_, letter, end_s,
                            static_cast<std::uint32_t>(strokes.size())});
       });

@@ -4,6 +4,7 @@
 // from the shard's pump pass — it needs no locking of its own.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,7 +32,12 @@ class Session {
   /// End of stream: finalise any pending stroke and letter.
   void finish(core::SegmentScratch& scratch);
 
-  /// Move out the retained letter events (empty when subscription is off).
+  /// Letter events a session retains for its subscriber between polls; a
+  /// letter beyond this evicts the oldest retained one.
+  static constexpr std::size_t kMaxRetainedEvents = 256;
+
+  /// Move out the retained letter events, oldest first (empty when
+  /// subscription is off).
   std::vector<LetterEvent> takeEvents();
 
   void setFault(fault::FaultPlan plan, std::uint64_t salt);
@@ -39,6 +45,8 @@ class Session {
 
   const core::OnlineStats& onlineStats() const { return recognizer_.stats(); }
   std::uint64_t lettersEmitted() const { return letters_; }
+  /// Events evicted because the subscriber did not poll in time.
+  std::uint64_t eventsEvicted() const { return events_evicted_; }
 
  private:
   SessionId id_;
@@ -48,7 +56,9 @@ class Session {
   bool any_faults_;
   std::uint64_t chunk_index_ = 0;
   std::uint64_t letters_ = 0;
+  std::uint64_t events_evicted_ = 0;
   core::OnlineRecognizer recognizer_;
+  /// At most kMaxRetainedEvents, oldest first.
   std::vector<LetterEvent> events_;
   /// Reused degraded-chunk buffer (steady-state allocation-free feed).
   std::vector<reader::TagReport> degraded_;

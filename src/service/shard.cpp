@@ -91,9 +91,11 @@ std::vector<LetterEvent> Shard::detach(SessionId id, bool* found,
   if (final_stats) {
     final_stats->online = s.onlineStats();
     final_stats->letters_emitted = s.lettersEmitted();
+    final_stats->events_evicted = s.eventsEvicted();
   }
   accumulate(retired_online_, s.onlineStats());
   retired_letters_ += s.lettersEmitted();
+  retired_evicted_ += s.eventsEvicted();
   std::vector<LetterEvent> events = s.takeEvents();
   sessions_.erase(it);
   return events;
@@ -154,6 +156,7 @@ bool Shard::stats(SessionId session, ServiceStats& out) const {
     if (it == sessions_.end()) return false;
     accumulate(out.online, it->second->onlineStats());
     out.letters_emitted += it->second->lettersEmitted();
+    out.events_evicted += it->second->eventsEvicted();
     out.sessions_active += 1;
     return true;
   }
@@ -161,9 +164,11 @@ bool Shard::stats(SessionId session, ServiceStats& out) const {
   out.sessions_attached += attached_total_;
   accumulate(out.online, retired_online_);
   out.letters_emitted += retired_letters_;
+  out.events_evicted += retired_evicted_;
   for (const auto& [id, s] : sessions_) {
     accumulate(out.online, s->onlineStats());
     out.letters_emitted += s->lettersEmitted();
+    out.events_evicted += s->eventsEvicted();
   }
   return true;
 }

@@ -145,6 +145,7 @@ class Shard {
   /// do not shrink when a session leaves.
   core::OnlineStats retired_online_ RFIPAD_GUARDED_BY(state_mutex_);
   std::uint64_t retired_letters_ RFIPAD_GUARDED_BY(state_mutex_) = 0;
+  std::uint64_t retired_evicted_ RFIPAD_GUARDED_BY(state_mutex_) = 0;
   std::uint64_t attached_total_ RFIPAD_GUARDED_BY(state_mutex_) = 0;
 };
 

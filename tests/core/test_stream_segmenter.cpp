@@ -2,12 +2,15 @@
 // and a work bound on the online passes.
 //
 // The differential test drives seeded random operation sequences — in-order
-// appends, bounded out-of-order inserts, duplicates, trims at arbitrary and
-// mid-frame times, inserts before the start, a corroborated clock jump,
-// emptying the buffer — and after every pass compares the streaming trace
-// and intervals bit for bit with Segmenter::segmentWith over the same
-// buffer, in fixed- and adaptive-threshold mode, on the scalar and the
-// native SIMD tier.
+// appends, bounded out-of-order inserts, duplicates, non-finite timestamps,
+// trims at arbitrary and mid-frame times, inserts before the start, a
+// corroborated clock jump, emptying the buffer — into both the
+// StreamSegmenter and a mirror reader::SampleStream.  Every push outcome
+// must agree; after every pass the compact buffer must hold the mirror's
+// reads (and rebuild the mirror's window slices), and the streaming trace
+// and intervals must equal Segmenter::segmentWith over the mirror bit for
+// bit, in fixed- and adaptive-threshold mode, on the scalar and the native
+// SIMD tier.
 #include "core/stream_segmenter.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/angles.hpp"
@@ -59,7 +63,9 @@ reader::TagReport readAt(Rng& rng, double t, int num_tags) {
   if (static_cast<long>(std::floor(t / 2.0)) % 2 == 1 && i >= 3 && i <= 5)
     phase += 3.5 * std::sin(kTwoPi * 1.5 * t + i);
   r.phase_rad = wrapTwoPi(phase);
-  r.rssi_dbm = -40.0;
+  r.rssi_dbm = -40.0 - 0.5 * static_cast<double>(rng.uniformInt(0, 8));
+  r.channel_mhz = rng.chance(0.5) ? 922.38 : 924.88;
+  r.imputed = rng.chance(0.1);
   r.time_s = t;
   return r;
 }
@@ -78,22 +84,94 @@ reader::TagReport readAt(Rng& rng, double t, int num_tags) {
   return ::testing::AssertionSuccess();
 }
 
-/// One pass of the streaming state, compared with a whole-buffer pass.  Both
-/// use the same scratch, so the state cannot lean on anything left in it.
-void expectMatchesBatch(StreamSegmenter& seg, SegmentScratch& scratch, int step) {
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The fields a BufferedRead keeps, compared bit for bit with a report.
+::testing::AssertionResult sameRead(const BufferedRead& got,
+                                    const reader::TagReport& want) {
+  if (got.tag_index == want.tag_index && sameBits(got.time_s, want.time_s) &&
+      sameBits(got.phase_rad, want.phase_rad) &&
+      sameBits(got.rssi_dbm, want.rssi_dbm) &&
+      sameBits(got.channel_mhz, want.channel_mhz) &&
+      got.imputed == want.imputed)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "read (tag " << got.tag_index << ", t " << got.time_s << ") vs (tag "
+         << want.tag_index << ", t " << want.time_s << ")";
+}
+
+/// A StreamSegmenter and a mirror SampleStream given the same operations.
+struct Mirrored {
+  StreamSegmenter seg;
+  reader::SampleStream mirror;
+
+  reader::PushOutcome push(const reader::TagReport& r) {
+    const reader::PushOutcome want = mirror.push(r);
+    EXPECT_EQ(seg.push(r), want) << "push at t " << r.time_s;
+    return want;
+  }
+  void dropBefore(double t) {
+    seg.dropBefore(t);
+    mirror.dropBefore(t);
+  }
+};
+
+/// The compact buffer against the mirror: window, counters, every read, and
+/// the TagReports rebuilt for one window.
+void expectBufferMatchesMirror(const Mirrored& m, Rng& rng) {
+  const ReportBuffer& b = m.seg.buffer();
+  const reader::SampleStream& s = m.mirror;
+  ASSERT_EQ(b.size(), s.size());
+  ASSERT_EQ(b.numTags(), s.numTags());
+  ASSERT_TRUE(sameBits(b.startTime(), s.startTime()));
+  ASSERT_TRUE(sameBits(b.endTime(), s.endTime()));
+  ASSERT_EQ(b.reorderCount(), s.reorderCount());
+  ASSERT_EQ(b.duplicateCount(), s.duplicateCount());
+  ASSERT_EQ(b.invalidCount(), s.invalidCount());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    ASSERT_TRUE(sameRead(b.reads()[i], s[i])) << i;
+
+  const double t0 = s.startTime() + rng.uniform(-0.1, 1.0) * s.durationS();
+  const double t1 = t0 + rng.uniform(-0.1, 0.5) * s.durationS();
+  const reader::SampleStream got = b.slice(t0, t1);
+  const reader::SampleStream want = s.slice(t0, t1);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.numTags(), want.numTags());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const reader::TagReport& r = got[i];
+    ASSERT_TRUE(sameRead({r.time_s, r.phase_rad, r.rssi_dbm, r.channel_mhz,
+                          r.tag_index, r.imputed},
+                         want[i]));
+    // The fields recognition never reads take their defaults.
+    const reader::TagReport defaults;
+    ASSERT_TRUE(r.epc == defaults.epc);
+    ASSERT_EQ(r.antenna_id, defaults.antenna_id);
+    ASSERT_TRUE(sameBits(r.doppler_hz, defaults.doppler_hz));
+  }
+}
+
+/// One pass of the streaming state, compared with a whole-buffer pass over
+/// the mirror.  Both use the same scratch, so the state cannot lean on
+/// anything left in it.
+void expectMatchesBatch(Mirrored& m, SegmentScratch& scratch, Rng& rng,
+                        int step) {
   SCOPED_TRACE(::testing::Message() << "step " << step << ", "
-                                    << seg.stream().size() << " reports");
+                                    << m.mirror.size() << " reports");
+  expectBufferMatchesMirror(m, rng);
+  if (::testing::Test::HasFatalFailure()) return;
   std::vector<double> intervals;
-  for (const Interval& iv : seg.segmentWith(scratch)) {
+  for (const Interval& iv : m.seg.segmentWith(scratch)) {
     intervals.push_back(iv.t0);
     intervals.push_back(iv.t1);
   }
   std::vector<double> want_intervals;
-  for (const Interval& iv : seg.segmenter().segmentWith(seg.stream(), scratch)) {
+  for (const Interval& iv : m.seg.segmenter().segmentWith(m.mirror, scratch)) {
     want_intervals.push_back(iv.t0);
     want_intervals.push_back(iv.t1);
   }
-  const SegmentationTrace& got = seg.trace();
+  const SegmentationTrace& got = m.seg.trace();
   const SegmentationTrace& want = scratch.trace;
   ASSERT_TRUE(sameBits(got.frame_times, want.frame_times, "frame_times"));
   ASSERT_TRUE(sameBits(got.frame_rms, want.frame_rms, "frame_rms"));
@@ -107,16 +185,24 @@ void expectMatchesBatch(StreamSegmenter& seg, SegmentScratch& scratch, int step)
 struct Coverage {
   int intervals = 0;
   int partial_passes = 0;
+  int reordered = 0;
+  int duplicates = 0;
+  int invalid = 0;
 };
 
 void runRandomOps(const SegmenterOptions& options, std::uint64_t seed,
                   Coverage& cov) {
   Rng rng(seed);
-  StreamSegmenter seg(neutralProfile(), options);
+  Mirrored m{StreamSegmenter(neutralProfile(), options), reader::SampleStream()};
   SegmentScratch scratch;
   double clock = 0.0;  // newest in-order report time
+  auto count = [&](reader::PushOutcome outcome) {
+    cov.reordered += outcome == reader::PushOutcome::kReordered ? 1 : 0;
+    cov.duplicates += outcome == reader::PushOutcome::kDuplicate ? 1 : 0;
+    cov.invalid += outcome == reader::PushOutcome::kInvalid ? 1 : 0;
+  };
   for (int step = 0; step < 1500; ++step) {
-    const reader::SampleStream& s = seg.stream();
+    const reader::SampleStream& s = m.mirror;
     // The extra tag first reports mid-sequence, growing the tag set.
     const int tags = step < 400 ? kProfileTags : kStreamTags;
     auto readAt = [&](Rng& r, double t) { return core::readAt(r, t, tags); };
@@ -125,50 +211,57 @@ void runRandomOps(const SegmenterOptions& options, std::uint64_t seed,
       // In-order appends, ~250 reads/s over the array.
       for (std::int64_t k = rng.uniformInt(1, 40); k > 0; --k) {
         clock += rng.exponential(0.004);
-        seg.push(readAt(rng, clock));
+        count(m.push(readAt(rng, clock)));
       }
     } else if (op < 0.65) {
       // Bounded out-of-order arrival, within 0.6 s of the newest report.
       const double t = std::max(s.startTime(), s.endTime() - rng.uniform(0.0, 0.6));
-      seg.push(readAt(rng, t));
+      count(m.push(readAt(rng, t)));
     } else if (op < 0.70) {
       const reader::TagReport dup = s[static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(s.size()) - 1))];
-      EXPECT_EQ(seg.push(dup), reader::PushOutcome::kDuplicate);
+      EXPECT_EQ(m.push(dup), reader::PushOutcome::kDuplicate);
+      ++cov.duplicates;
+    } else if (op < 0.72) {
+      // A read with a non-finite timestamp (a corrupted wire clock).
+      reader::TagReport bad = readAt(rng, clock);
+      bad.time_s = rng.chance(0.5) ? std::numeric_limits<double>::quiet_NaN()
+                                   : std::numeric_limits<double>::infinity();
+      count(m.push(bad));
     } else if (op < 0.75) {
-      seg.dropBefore(s.startTime() + rng.uniform(0.0, 0.6) * s.durationS());
+      m.dropBefore(s.startTime() + rng.uniform(0.0, 0.6) * s.durationS());
     } else if (op < 0.79) {
       // Trim at a frame centre of the current grid.
       const double frames = std::ceil(s.durationS() / options.frame_s);
       const double f = std::floor(rng.uniform(0.0, frames));
-      seg.dropBefore(s.startTime() + (f + 0.5) * options.frame_s);
+      m.dropBefore(s.startTime() + (f + 0.5) * options.frame_s);
     } else if (op < 0.82) {
       const double t = s.startTime() - rng.uniform(0.01, 0.3);
       if (t >= 0.0) {
-        EXPECT_EQ(seg.push(readAt(rng, t)), reader::PushOutcome::kReordered);
+        EXPECT_EQ(m.push(readAt(rng, t)), reader::PushOutcome::kReordered);
       }
     } else if (op < 0.83) {
       // A reader resuming after a long pause (OnlineRecognizer accepts such
       // a jump once a second report corroborates it).
       clock += 30.0;
-      seg.push(readAt(rng, clock));
+      count(m.push(readAt(rng, clock)));
       clock += 0.01;
-      seg.push(readAt(rng, clock));
+      count(m.push(readAt(rng, clock)));
     } else if (op < 0.84) {
       // Empty the buffer, then refill it from exactly its old start, so
       // the new first report sits where the old grid was anchored.
       const double start = s.startTime();
-      seg.dropBefore(s.endTime() + 1.0);
+      m.dropBefore(s.endTime() + 1.0);
       clock = start;
-      seg.push(readAt(rng, clock));
+      count(m.push(readAt(rng, clock)));
     }
     // Keep the buffer near an online horizon, as OnlineRecognizer does.
-    if (!s.empty() && s.durationS() > 8.0) seg.dropBefore(s.endTime() - 5.0);
+    if (!s.empty() && s.durationS() > 8.0) m.dropBefore(s.endTime() - 5.0);
     if (rng.chance(0.6)) {
-      expectMatchesBatch(seg, scratch, step);
+      expectMatchesBatch(m, scratch, rng, step);
       if (::testing::Test::HasFatalFailure()) return;
       cov.intervals += static_cast<int>(scratch.merged.size());
-      cov.partial_passes += seg.work().last_full ? 0 : 1;
+      cov.partial_passes += m.seg.work().last_full ? 0 : 1;
     }
   }
 }
@@ -186,9 +279,13 @@ void runBothModes(simd::Tier tier) {
       Coverage cov;
       runRandomOps(options, seed, cov);
       if (::testing::Test::HasFatalFailure()) return;
-      // The sequence must have exercised strokes and incremental passes.
+      // The sequence must have exercised strokes, incremental passes and
+      // every push outcome.
       EXPECT_GT(cov.intervals, 0);
       EXPECT_GT(cov.partial_passes, 100);
+      EXPECT_GT(cov.reordered, 0);
+      EXPECT_GT(cov.duplicates, 0);
+      EXPECT_GT(cov.invalid, 0);
     }
   }
 }

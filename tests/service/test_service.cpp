@@ -269,6 +269,52 @@ TEST(Service, SubscribeOffDropsEventsButCountsLetters) {
   EXPECT_EQ(stats.letters_emitted, 1u);
 }
 
+TEST(Service, UnpolledEventsAreBoundedAndEvictOldestFirst) {
+  // One letter replayed back to back, far past the retention bound: one
+  // session is polled after every chunk, the other never.
+  Rig rig;
+  SessionManager manager({/*num_shards=*/2});
+  const SessionId polled = manager.attach(rig.config());
+  const SessionId idle = manager.attach(rig.config());
+  const sim::Capture cap = rig.writeLetter('C');
+  const double span_s = cap.stream.durationS() + 0.5;
+  const auto chunks = chunked(cap);
+  constexpr std::size_t kExcess = 7;
+  std::vector<LetterEvent> all;
+  for (std::size_t k = 0; all.size() < Session::kMaxRetainedEvents + kExcess;
+       ++k) {
+    ASSERT_LT(k, 2 * (Session::kMaxRetainedEvents + kExcess));
+    for (auto chunk : chunks) {
+      for (reader::TagReport& r : chunk) r.time_s += static_cast<double>(k) * span_s;
+      ASSERT_TRUE(manager.ingest(polled, chunk));
+      ASSERT_TRUE(manager.ingest(idle, chunk));
+      manager.pump();
+      for (const LetterEvent& ev : manager.poll(polled)) all.push_back(ev);
+    }
+  }
+  const std::size_t excess = all.size() - Session::kMaxRetainedEvents;
+  ServiceStats stats;
+  ASSERT_TRUE(manager.stats(idle, stats));
+  EXPECT_EQ(stats.letters_emitted, all.size());
+  EXPECT_EQ(stats.events_evicted, excess);
+  ASSERT_TRUE(manager.stats(polled, stats));
+  EXPECT_EQ(stats.events_evicted, 0u);
+
+  // The idle subscriber gets the newest kMaxRetainedEvents, oldest first.
+  const std::vector<LetterEvent> kept = manager.poll(idle);
+  ASSERT_EQ(kept.size(), Session::kMaxRetainedEvents);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].session, idle);
+    EXPECT_EQ(kept[i].letter, all[excess + i].letter) << i;
+    EXPECT_EQ(kept[i].stream_time_s, all[excess + i].stream_time_s) << i;
+  }
+  // Evictions stay counted after the session leaves.
+  manager.detach(idle);
+  manager.detach(polled);
+  ASSERT_TRUE(manager.stats(kNoSession, stats));
+  EXPECT_EQ(stats.events_evicted, excess);
+}
+
 TEST(Service, FaultSaltGivesReproducibleDegradation) {
   Rig rig;
   fault::FaultPlan plan;
