@@ -127,10 +127,8 @@ int main(int argc, char** argv) {
       pump_stats.decode.merge(st.decode);
     } else {
       for (const llrp::Bytes& frame :
-           reader.poll(traj.durationS() + 0.3, scene)) {
-        const auto report = llrp::decodeRoAccessReport(frame);
-        for (const auto& wire : report.reports) feed(llrp::fromWire(wire));
-      }
+           reader.poll(traj.durationS() + 0.3, scene))
+        llrp::decodeFrame(frame, pump_stats.decode, feed);
     }
   }
   live.flushWith(scratch);

@@ -3,20 +3,9 @@
 #include <cmath>
 
 #include "common/angles.hpp"
+#include "common/contracts.hpp"
 
 namespace rfipad::llrp {
-
-namespace {
-
-/// Default EPC→index mapping for EPCs minted by tag::makeEpc: the dense
-/// index lives in the last 8 hex digits.
-std::uint32_t defaultEpcToIndex(const std::string& epc) {
-  if (epc.size() < 8) throw DecodeError("EPC too short for index suffix");
-  return static_cast<std::uint32_t>(
-      std::stoul(epc.substr(epc.size() - 8), nullptr, 16));
-}
-
-}  // namespace
 
 TagReportData toWire(const reader::TagReport& report) {
   TagReportData t;
@@ -34,27 +23,70 @@ TagReportData toWire(const reader::TagReport& report) {
   return t;
 }
 
-reader::TagReport fromWire(
-    const TagReportData& wire,
-    const std::function<std::uint32_t(const std::string&)>& epcToIndex) {
+namespace {
+
+/// fromWire with the tag index already known: allocation-free.
+reader::TagReport toTagReport(const TagReportData& wire,
+                              std::uint32_t tag_index) {
   reader::TagReport r;
-  const std::string epc_hex = wire.epcHex();
-  r.epc = epc_hex;
-  r.tag_index = epcToIndex ? epcToIndex(epc_hex) : defaultEpcToIndex(epc_hex);
+  char hex[24];
+  epcHexInto(wire.epc, hex);
+  r.epc = std::string_view(hex, sizeof(hex));
+  r.tag_index = tag_index;
   r.antenna_id = wire.antenna_id;
   r.time_s = static_cast<double>(wire.first_seen_utc_us) / 1e6;
-  if (wire.impinj_phase_angle) {
+  if (wire.impinj_phase_angle)
     r.phase_rad = static_cast<double>(*wire.impinj_phase_angle) / 4096.0 * kTwoPi;
-  }
-  if (wire.impinj_rssi_centidbm) {
-    r.rssi_dbm = static_cast<double>(*wire.impinj_rssi_centidbm) / 100.0;
-  } else {
-    r.rssi_dbm = wire.peak_rssi_dbm;
-  }
-  if (wire.impinj_doppler_16hz) {
+  r.rssi_dbm = wire.impinj_rssi_centidbm
+                   ? static_cast<double>(*wire.impinj_rssi_centidbm) / 100.0
+                   : wire.peak_rssi_dbm;
+  if (wire.impinj_doppler_16hz)
     r.doppler_hz = static_cast<double>(*wire.impinj_doppler_16hz) / 16.0;
-  }
   return r;
+}
+
+/// The lenient walk behind every decodeFrame: `indexFor(wire, tag)`
+/// returns false to reject a report.
+template <class IndexFor, class Emit>
+DecodeFault walkReports(const Bytes& frame, DecodeStats& stats,
+                        std::uint32_t max_tag_index, IndexFor&& indexFor,
+                        Emit&& emit) {
+  ++stats.frames;
+  RoAccessReportWalker walk(frame);
+  if (walk.frameFault() != DecodeFault::kNone) ++stats.frames_malformed;
+  DecodeFault first = walk.frameFault();
+  TagReportData wire;
+  while (!walk.atEnd()) {
+    const DecodeFault fault = walk.nextReport(wire);
+    std::uint32_t tag = 0;
+    if (fault != DecodeFault::kNone || !indexFor(wire, tag)) {
+      ++stats.reports_malformed;
+      if (first == DecodeFault::kNone) first = fault;
+    } else if (tag > max_tag_index) {
+      ++stats.reports_bad_index;
+    } else {
+      ++stats.reports;
+      emit(toTagReport(wire, tag));
+    }
+  }
+  return first;
+}
+
+/// The default index, as tag::makeEpc mints it: the EPC's last four bytes,
+/// big-endian.
+bool epcSuffixIndex(const TagReportData& wire, std::uint32_t& tag) {
+  tag = std::uint32_t{wire.epc[8]} << 24 | std::uint32_t{wire.epc[9]} << 16 |
+        std::uint32_t{wire.epc[10]} << 8 | wire.epc[11];
+  return true;
+}
+
+}  // namespace
+
+reader::TagReport fromWire(const TagReportData& wire,
+                           const EpcResolver& epcToIndex) {
+  std::uint32_t tag = 0;
+  if (!epcToIndex) epcSuffixIndex(wire, tag);
+  return toTagReport(wire, epcToIndex ? epcToIndex(wire.epcHex()) : tag);
 }
 
 std::vector<Bytes> encodeStream(const reader::SampleStream& stream,
@@ -78,41 +110,39 @@ std::vector<Bytes> encodeStream(const reader::SampleStream& stream,
   return frames;
 }
 
-reader::SampleStream decodeFrames(
-    const std::vector<Bytes>& frames,
-    const std::function<std::uint32_t(const std::string&)>& epcToIndex,
-    DecodeStats* stats, std::uint32_t max_tag_index) {
+RFIPAD_HOT_PATH
+DecodeFault decodeFrame(const Bytes& frame, reader::SampleStream& out,
+                        DecodeStats& stats, std::uint32_t max_tag_index) {
+  return walkReports(frame, stats, max_tag_index, epcSuffixIndex,
+                     [&out](const reader::TagReport& r) { out.push(r); });
+}
+
+DecodeFault decodeFrame(const Bytes& frame, DecodeStats& stats,
+                        const std::function<void(const reader::TagReport&)>& emit) {
+  return walkReports(frame, stats, kAnyTagIndex, epcSuffixIndex, emit);
+}
+
+reader::SampleStream decodeFrames(const std::vector<Bytes>& frames,
+                                  const EpcResolver& epcToIndex,
+                                  DecodeStats* stats,
+                                  std::uint32_t max_tag_index) {
+  std::size_t bytes = 0;
+  for (const Bytes& frame : frames) bytes += frame.size();
   reader::SampleStream stream;
+  stream.reserve(bytes / 73);  // 73 bytes per report as encodeStream writes it
   DecodeStats local;
-  DecodeStats& st = stats != nullptr ? *stats : local;
-  for (const auto& frame : frames) {
-    ++st.frames;
-    ReportDecodeStats rstats;
-    RoAccessReport report;
+  const auto indexFor = [&epcToIndex](const TagReportData& wire, std::uint32_t& tag) {
+    if (!epcToIndex) return epcSuffixIndex(wire, tag);
     try {
-      report = decodeRoAccessReport(frame, &rstats);
-    } catch (const DecodeError&) {
-      ++st.frames_malformed;
-      continue;
+      tag = epcToIndex(wire.epcHex());
+      return true;
+    } catch (const std::exception&) {
+      return false;
     }
-    st.reports_malformed += rstats.malformed;
-    for (const auto& wire : report.reports) {
-      reader::TagReport r;
-      try {
-        r = fromWire(wire, epcToIndex);
-      } catch (const std::exception&) {
-        // Custom epcToIndex resolvers may reject corrupted EPCs.
-        ++st.reports_malformed;
-        continue;
-      }
-      if (r.tag_index > max_tag_index) {
-        ++st.reports_bad_index;
-        continue;
-      }
-      ++st.reports;
-      stream.push(std::move(r));
-    }
-  }
+  };
+  for (const Bytes& frame : frames)
+    walkReports(frame, stats != nullptr ? *stats : local, max_tag_index, indexFor,
+                [&stream](const reader::TagReport& r) { stream.push(r); });
   return stream;
 }
 

@@ -1,12 +1,14 @@
 #include "llrp/messages.hpp"
 
-#include <cstdio>
+#include <cstring>
 
 namespace rfipad::llrp {
 
 namespace {
 
 constexpr std::uint8_t kVersion = 1;  // LLRP protocol version 1.x
+constexpr auto kRoAccessReportType =
+    static_cast<std::uint16_t>(MessageType::kRoAccessReport);
 
 /// Write an LLRP message header; returns the length-slot offset.
 std::size_t beginMessage(BufferWriter& w, MessageType type,
@@ -58,8 +60,7 @@ void writeTagReportData(BufferWriter& w, const TagReportData& t) {
 
   // EPC-96: TV-encoded parameter (high bit set, 7-bit type).
   w.u8(0x80 | kParamEpc96);
-  if (t.epc.size() != 12) throw std::length_error("EPC-96 must be 12 bytes");
-  w.raw(t.epc);
+  for (std::uint8_t b : t.epc) w.u8(b);
 
   w.u8(0x80 | kParamAntennaId);
   w.u16(t.antenna_id);
@@ -84,22 +85,25 @@ void writeTagReportData(BufferWriter& w, const TagReportData& t) {
 
 }  // namespace
 
-std::string TagReportData::epcHex() const {
-  std::string out;
-  out.reserve(epc.size() * 2);
-  char buf[3];
+void epcHexInto(const Epc96& epc, char* out) {
+  static constexpr char kNibble[] = "0123456789ABCDEF";
   for (std::uint8_t b : epc) {
-    std::snprintf(buf, sizeof(buf), "%02X", b);
-    out += buf;
+    *out++ = kNibble[b >> 4];
+    *out++ = kNibble[b & 0xF];
   }
+}
+
+std::string TagReportData::epcHex() const {
+  std::string out(2 * epc.size(), '0');
+  epcHexInto(epc, out.data());
   return out;
 }
 
-Bytes TagReportData::epcFromHex(const std::string& hex) {
+Epc96 TagReportData::epcFromHex(const std::string& hex) {
   if (hex.size() != 24)
     throw std::invalid_argument("EPC-96 hex must be 24 chars");
-  Bytes out(12);
-  for (std::size_t i = 0; i < 12; ++i) {
+  Epc96 out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<std::uint8_t>(
         std::stoul(hex.substr(i * 2, 2), nullptr, 16));
   }
@@ -219,108 +223,123 @@ MessageHeader decodeHeader(BufferReader& reader, std::uint32_t* length) {
   return h;
 }
 
+const char* describe(DecodeFault fault) {
+  static constexpr const char* kText[] = {
+      "no fault", "LLRP frame truncated", "unsupported LLRP version",
+      "LLRP message length < header size", "not an RO_ACCESS_REPORT",
+      "unexpected parameter in RO_ACCESS_REPORT", "bad TLV length",
+      "unknown TV parameter in TagReportData"};
+  return kText[static_cast<std::size_t>(fault)];
+}
+
 namespace {
 
-TagReportData decodeTagReportData(BufferReader body) {
-  TagReportData t;
-  while (!body.atEnd()) {
-    const std::uint8_t first = body.u8();
-    if (first & 0x80) {
-      // TV parameter.
-      const std::uint8_t type = first & 0x7F;
-      switch (type) {
-        case kParamEpc96: t.epc = body.raw(12); break;
-        case kParamAntennaId: t.antenna_id = body.u16(); break;
-        case kParamPeakRssi: t.peak_rssi_dbm = body.s8(); break;
-        case kParamFirstSeenUtc: t.first_seen_utc_us = body.u64(); break;
-        default: throw DecodeError("unknown TV parameter in TagReportData");
-      }
-    } else {
-      // TLV parameter: first byte already consumed; re-assemble the type.
-      const std::uint16_t type =
-          static_cast<std::uint16_t>((first & 0x3) << 8) | body.u8();
-      const std::uint16_t len = body.u16();
-      if (len < 4) throw DecodeError("bad TLV length");
-      BufferReader sub = body.sub(len - 4);
-      if (type == kParamCustom) {
-        const std::uint32_t vendor = sub.u32();
-        const std::uint32_t subtype = sub.u32();
-        if (vendor == kImpinjVendorId) {
-          if (subtype == kImpinjPhaseSubtype) {
-            t.impinj_phase_angle = sub.u16();
-          } else if (subtype == kImpinjDopplerSubtype) {
-            t.impinj_doppler_16hz = sub.s16();
-          } else if (subtype == kImpinjPeakRssiSubtype) {
-            t.impinj_rssi_centidbm = sub.s16();
-          }
-        }
-      }
-      // Unknown TLVs are skipped (sub-reader already consumed them).
+std::uint16_t be16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+std::uint32_t be32(const std::uint8_t* p) {
+  return std::uint32_t{be16(p)} << 16 | be16(p + 2);
+}
+
+/// The TLV parameter at p[0..n): its type, and its length once it fits.
+DecodeFault tlvHeader(const std::uint8_t* p, std::size_t n, unsigned& type,
+                      std::size_t& len) {
+  if (n < 4) return DecodeFault::kTruncated;
+  type = be16(p) & 0x3FF;
+  len = be16(p + 2);
+  return len < 4 || len > n ? DecodeFault::kBadTlvLength : DecodeFault::kNone;
+}
+
+/// The `n` body bytes of one TagReportData.  Later fields overwrite earlier
+/// ones; unknown TLVs and foreign custom parameters are skipped.
+DecodeFault parseTagReportData(const std::uint8_t* p, std::size_t n,
+                               TagReportData& t) {
+  t = TagReportData{};
+  for (std::size_t i = 0; i < n;) {
+    const std::uint8_t tv = p[i] & 0x7F;
+    if (p[i] & 0x80) {
+      const std::size_t width = tv == kParamEpc96 ? 12
+                                : tv == kParamAntennaId ? 2
+                                : tv == kParamPeakRssi ? 1
+                                : tv == kParamFirstSeenUtc ? 8 : 0;
+      if (width == 0) return DecodeFault::kUnknownTv;
+      if (n - i - 1 < width) return DecodeFault::kTruncated;
+      const std::uint8_t* v = p + i + 1;
+      i += 1 + width;
+      if (tv == kParamEpc96) std::memcpy(t.epc.data(), v, 12);
+      if (tv == kParamAntennaId) t.antenna_id = be16(v);
+      if (tv == kParamPeakRssi) t.peak_rssi_dbm = static_cast<std::int8_t>(v[0]);
+      if (tv == kParamFirstSeenUtc)
+        t.first_seen_utc_us = std::uint64_t{be32(v)} << 32 | be32(v + 4);
+      continue;
     }
+    unsigned type = 0;
+    std::size_t len = 0;
+    const DecodeFault fault = tlvHeader(p + i, n - i, type, len);
+    if (fault != DecodeFault::kNone) return fault;
+    const std::uint8_t* v = p + i + 4;
+    i += len;
+    if (type != kParamCustom) continue;
+    if (len < 12) return DecodeFault::kTruncated;  // vendor + subtype
+    const std::uint32_t subtype = be32(v + 4);
+    if (be32(v) != kImpinjVendorId ||
+        (subtype != kImpinjPhaseSubtype && subtype != kImpinjDopplerSubtype &&
+         subtype != kImpinjPeakRssiSubtype))
+      continue;
+    if (len < 14) return DecodeFault::kTruncated;
+    const std::uint16_t value = be16(v + 8);
+    if (subtype == kImpinjPhaseSubtype) t.impinj_phase_angle = value;
+    if (subtype == kImpinjDopplerSubtype)
+      t.impinj_doppler_16hz = static_cast<std::int16_t>(value);
+    if (subtype == kImpinjPeakRssiSubtype)
+      t.impinj_rssi_centidbm = static_cast<std::int16_t>(value);
   }
-  return t;
+  return DecodeFault::kNone;
+}
+
+/// decodeHeader's checks, in its order, for an RO_ACCESS_REPORT.
+DecodeFault headerFault(const Bytes& f) {
+  if (f.size() < 2) return DecodeFault::kTruncated;
+  if ((f[0] >> 2 & 0x7) != kVersion) return DecodeFault::kBadVersion;
+  if (f.size() < 6) return DecodeFault::kTruncated;
+  if (be32(&f[2]) < 10) return DecodeFault::kBadMessageLength;
+  if (f.size() < 10) return DecodeFault::kTruncated;
+  if ((be16(&f[0]) & 0x3FF) != kRoAccessReportType)
+    return DecodeFault::kWrongMessageType;
+  return DecodeFault::kNone;
 }
 
 }  // namespace
 
-RoAccessReport decodeRoAccessReport(const Bytes& frame,
-                                    ReportDecodeStats* stats) {
-  BufferReader r(frame);
-  std::uint32_t len = 0;
-  const MessageHeader h = decodeHeader(r, &len);
-  if (h.type != MessageType::kRoAccessReport)
-    throw DecodeError("not an RO_ACCESS_REPORT");
-  const bool lenient = stats != nullptr;
+RoAccessReportWalker::RoAccessReportWalker(const Bytes& frame)
+    : frame_(frame), frame_fault_(headerFault(frame)) {
+  pos_ = frame_fault_ == DecodeFault::kNone ? 10 : frame.size();
+}
+
+DecodeFault RoAccessReportWalker::nextReport(TagReportData& out) {
+  const std::uint8_t* p = frame_.data() + pos_;
+  const std::size_t n = frame_.size() - pos_;
+  pos_ = frame_.size();  // unless the parameter's length is sound
+  // A TV parameter has no length field: nothing after it can be found.
+  if (n >= 4 && (p[0] & 0x80)) return DecodeFault::kUnexpectedParameter;
+  unsigned type = 0;
+  std::size_t len = 0;
+  const DecodeFault fault = tlvHeader(p, n, type, len);
+  if (fault != DecodeFault::kNone) return fault;
+  pos_ -= n - len;
+  if (type != kParamTagReportData) return DecodeFault::kUnexpectedParameter;
+  return parseTagReportData(p + 4, len - 4, out);
+}
+
+RoAccessReport decodeRoAccessReport(const Bytes& frame) {
+  RoAccessReportWalker walk(frame);
+  if (walk.frameFault() != DecodeFault::kNone)
+    throw DecodeError(describe(walk.frameFault()));
   RoAccessReport report;
-  while (!r.atEnd()) {
-    // A truncated parameter header ends the frame; in lenient mode the
-    // remainder is counted as one malformed parameter.
-    if (r.remaining() < 4) {
-      if (!lenient) throw DecodeError("truncated parameter header");
-      ++stats->malformed;
-      break;
-    }
-    const std::uint16_t first = r.peek16();
-    const std::uint16_t type = first & 0x3FF;
-    if ((first & 0x8000) != 0 || type != kParamTagReportData) {
-      if (!lenient)
-        throw DecodeError("unexpected parameter in RO_ACCESS_REPORT");
-      // A TV parameter here has no length field, so resynchronisation is
-      // impossible — abandon the rest of the frame.  An unknown TLV can be
-      // skipped by its own length.
-      if ((first & 0x8000) != 0) {
-        ++stats->malformed;
-        break;
-      }
-      r.skip(2);
-      const std::uint16_t plen = r.u16();
-      if (plen < 4 || plen - 4u > r.remaining()) {
-        ++stats->malformed;
-        break;
-      }
-      r.skip(plen - 4);
-      ++stats->malformed;
-      continue;
-    }
-    r.skip(2);
-    const std::uint16_t plen = r.u16();
-    if (plen < 4 || plen - 4u > r.remaining()) {
-      if (!lenient) throw DecodeError("bad TagReportData length");
-      ++stats->malformed;
-      break;
-    }
-    BufferReader body = r.sub(plen - 4);
-    if (!lenient) {
-      report.reports.push_back(decodeTagReportData(body));
-      continue;
-    }
-    try {
-      report.reports.push_back(decodeTagReportData(body));
-      ++stats->reports;
-    } catch (const DecodeError&) {
-      // The sub-reader bounded the damage to this one parameter.
-      ++stats->malformed;
-    }
+  while (!walk.atEnd()) {
+    const DecodeFault fault = walk.nextReport(report.reports.emplace_back());
+    if (fault != DecodeFault::kNone) throw DecodeError(describe(fault));
   }
   return report;
 }

@@ -16,6 +16,7 @@
 // fields the paper unlocked by modifying the Octane SDK.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -67,10 +68,12 @@ struct MessageHeader {
   std::uint32_t id = 0;
 };
 
+using Epc96 = std::array<std::uint8_t, 12>;
+
 /// One singulation as reported on the wire.
 struct TagReportData {
-  /// EPC-96, 12 bytes.
-  Bytes epc = Bytes(12, 0);
+  /// EPC-96 (all zero if the report carried none).
+  Epc96 epc{};
   std::uint16_t antenna_id = 1;
   /// Core-spec PeakRSSI, whole dBm (coarse).
   std::int8_t peak_rssi_dbm = 0;
@@ -84,8 +87,11 @@ struct TagReportData {
   std::optional<std::int16_t> impinj_rssi_centidbm;
 
   std::string epcHex() const;
-  static Bytes epcFromHex(const std::string& hex);
+  static Epc96 epcFromHex(const std::string& hex);
 };
+
+/// The 24 upper-case hex digits of `epc` into `out` (no terminator).
+void epcHexInto(const Epc96& epc, char* out);
 
 struct RoAccessReport {
   std::vector<TagReportData> reports;
@@ -130,22 +136,38 @@ Bytes encodeReaderEventNotification(std::uint32_t messageId,
 /// Parse just the 10-byte header; returns total message length via out-param.
 MessageHeader decodeHeader(BufferReader& reader, std::uint32_t* length);
 
-/// Per-report outcome of a lenient RO_ACCESS_REPORT decode.
-struct ReportDecodeStats {
-  std::uint64_t reports = 0;    ///< TagReportData parameters decoded
-  std::uint64_t malformed = 0;  ///< parameters skipped (bad length/type/body)
+/// Why a frame, or one parameter in it, did not decode.
+/// kUnexpectedParameter: a top-level parameter other than TagReportData.
+enum class DecodeFault : std::uint8_t {
+  kNone, kTruncated, kBadVersion, kBadMessageLength, kWrongMessageType,
+  kUnexpectedParameter, kBadTlvLength, kUnknownTv,
+};
+const char* describe(DecodeFault fault);
+
+/// One non-throwing, allocation-free pass over an RO_ACCESS_REPORT frame.
+/// frameFault() is a bad header or message type (the walk is then empty).
+/// nextReport() decodes the next parameter in wire order: kNone with `out`
+/// filled, or the fault of one skipped parameter.  A fault with no length
+/// to resynchronise on (bad top-level length, TV parameter, short header)
+/// ends the walk.  Parameters run to the end of the frame; the header's
+/// length field is only checked against the header size.
+class RoAccessReportWalker {
+ public:
+  explicit RoAccessReportWalker(const Bytes& frame);  ///< frame outlives it
+  explicit RoAccessReportWalker(Bytes&&) = delete;
+  DecodeFault frameFault() const { return frame_fault_; }
+  bool atEnd() const { return pos_ == frame_.size(); }
+  DecodeFault nextReport(TagReportData& out);  ///< requires !atEnd()
+
+ private:
+  const Bytes& frame_;
+  std::size_t pos_ = 0;
+  DecodeFault frame_fault_ = DecodeFault::kNone;
 };
 
-/// Full-message decoders; each expects the complete frame (header included).
-///
-/// With `stats == nullptr` the decode is strict: any malformed parameter
-/// throws DecodeError (the historical contract).  With a stats object the
-/// decode is lenient: a malformed TagReportData is skipped and counted, and
-/// decoding continues with the next parameter — a corrupted report must
-/// never take down the frames around it.  A bad header or message type
-/// still throws in both modes (the frame as a whole is unusable).
-RoAccessReport decodeRoAccessReport(const Bytes& frame,
-                                    ReportDecodeStats* stats = nullptr);
+/// Full-message decoders; each expects the complete frame (header included)
+/// and throws DecodeError on the first fault.
+RoAccessReport decodeRoAccessReport(const Bytes& frame);
 Rospec decodeAddRospec(const Bytes& frame, std::uint32_t* messageId = nullptr);
 std::uint32_t decodeRospecIdMessage(const Bytes& frame);  // ENABLE/START
 

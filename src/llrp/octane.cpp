@@ -142,12 +142,9 @@ void OctaneClient::deliver(const reader::TagReport& r) {
 
 void OctaneClient::pump(OctaneEmulator& reader, double duration_s,
                         const reader::SceneFn& scene) {
-  for (const Bytes& frame : reader.poll(duration_s, scene)) {
-    const RoAccessReport report = decodeRoAccessReport(frame);
-    for (const auto& wire : report.reports) {
+  for (const Bytes& frame : reader.poll(duration_s, scene))
+    for (const TagReportData& wire : decodeRoAccessReport(frame).reports)
       deliver(fromWire(wire));
-    }
-  }
 }
 
 PumpStats OctaneClient::pumpWithReconnect(OctaneEmulator& reader,
@@ -189,32 +186,9 @@ PumpStats OctaneClient::pumpWithReconnect(OctaneEmulator& reader,
     }
 
     const double chunk = std::min(policy.poll_chunk_s, t_end - reader.now());
-    const auto frames = reader.poll(chunk, scene);
-    for (const Bytes& frame : frames) {
-      ++st.frames;
-      ++st.decode.frames;
-      ReportDecodeStats rstats;
-      RoAccessReport report;
-      try {
-        report = decodeRoAccessReport(frame, &rstats);
-      } catch (const DecodeError&) {
-        ++st.decode.frames_malformed;
-        continue;
-      }
-      st.decode.reports_malformed += rstats.malformed;
-      for (const auto& wire : report.reports) {
-        reader::TagReport r;
-        try {
-          r = fromWire(wire);
-        } catch (const std::exception&) {
-          ++st.decode.reports_malformed;
-          continue;
-        }
-        ++st.reports;
-        ++st.decode.reports;
-        deliver(r);
-      }
-    }
+    for (const Bytes& frame : reader.poll(chunk, scene))
+      decodeFrame(frame, st.decode,
+                  [this](const reader::TagReport& r) { deliver(r); });
     if (!reader.connected()) ++st.disconnects;
   }
   return st;

@@ -120,9 +120,8 @@ struct PumpStats {
   std::uint64_t rehandshakes = 0;
   /// Reader-clock seconds spent with the link down.
   double offline_s = 0.0;
-  std::uint64_t frames = 0;
-  std::uint64_t reports = 0;
-  /// Lenient-decode outcome (malformed frames/reports skipped, counted).
+  /// Lenient-decode outcome: frames seen, reports delivered, and the
+  /// malformed frames/reports skipped.
   DecodeStats decode{};
 };
 

@@ -82,15 +82,17 @@ void PumpRuntime::workerLoop(std::size_t w) {
       std::this_thread::yield();
       continue;
     }
-    // Park: advertise first, then re-check, then wait (see the file
-    // comment in pump_runtime.hpp for why this cannot lose a wakeup).
+    // Park: count, advertise, re-check, then wait (see the file comment
+    // in pump_runtime.hpp for why this cannot lose a wakeup).  Counting
+    // before the release exchange means a reader that sees kParked also
+    // sees the count: stats().parks >= parkedWorkers() always.
+    self.parks.fetch_add(1, std::memory_order_relaxed);
     self.state.exchange(kParked, std::memory_order_acq_rel);
     if (stop_.load(std::memory_order_acquire) || anyOwnedPending(w)) {
       self.state.store(kRunning, std::memory_order_release);
       idle_streak = 0;
       continue;
     }
-    self.parks.fetch_add(1, std::memory_order_relaxed);
     self.parkUntilRunning();
     idle_streak = 0;
   }

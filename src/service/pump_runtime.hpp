@@ -83,10 +83,13 @@ class PumpRuntime {
   /// Workers finish their current pass; rings may retain unpumped chunks.
   void stop();
 
-  /// Aggregate activity counters over all workers.
+  /// Aggregate activity counters over all workers.  `parks` counts park
+  /// attempts: a worker counts one before it advertises kParked, including
+  /// attempts its re-check then abandons, so stats().parks >=
+  /// parkedWorkers() whenever stats() is read after parkedWorkers().
   core::PumpStats stats() const;
 
-  /// Workers currently blocked on their condvar (for idle-cost tests).
+  /// Workers currently advertising kParked (for idle-cost tests).
   std::uint64_t parkedWorkers() const;
 
   /// Process-wide count of PumpRuntime constructions — the serving hot

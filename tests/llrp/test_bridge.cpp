@@ -211,11 +211,11 @@ TEST(Octane, CorruptedFramesAreSkippedAndCounted) {
   });
 
   const auto st = f.client.pumpWithReconnect(f.emu, 1.0, reader::emptyScene);
-  EXPECT_GT(st.frames, 0u);
+  EXPECT_GT(st.decode.frames, 0u);
   EXPECT_GT(st.decode.frames_malformed + st.decode.reports_malformed, 0u);
   // Degraded, not dead: most reports still make it through.
-  EXPECT_GT(st.reports, 0u);
-  EXPECT_EQ(f.client.stream().size(), st.reports);
+  EXPECT_GT(st.decode.reports, 0u);
+  EXPECT_EQ(f.client.stream().size(), st.decode.reports);
 }
 
 TEST(Octane, GivesUpAfterExhaustingBackoffSchedule) {

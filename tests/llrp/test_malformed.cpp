@@ -133,8 +133,12 @@ TEST(MalformedLlrp, StrictDecodeStillThrows) {
   frames[0][12] = 0xFF;
   frames[0][13] = 0xFF;
   EXPECT_THROW(decodeRoAccessReport(frames[0]), DecodeError);
-  ReportDecodeStats rstats;
-  EXPECT_NO_THROW(decodeRoAccessReport(frames[0], &rstats));
+  DecodeStats st;
+  reader::SampleStream out;
+  DecodeFault fault = DecodeFault::kNone;
+  EXPECT_NO_THROW(fault = decodeFrame(frames[0], out, st));
+  EXPECT_EQ(fault, DecodeFault::kBadTlvLength);
+  EXPECT_EQ(st.reports_malformed, 1u);
 }
 
 TEST(MalformedLlrp, BitFlipFuzzNeverThrows) {

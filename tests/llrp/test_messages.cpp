@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 namespace rfipad::llrp {
 namespace {
 
@@ -24,6 +26,35 @@ TEST(Messages, EpcHexRoundTrip) {
   t.epc = TagReportData::epcFromHex(hex);
   EXPECT_EQ(t.epcHex(), hex);
   EXPECT_THROW(TagReportData::epcFromHex("1234"), std::invalid_argument);
+}
+
+TEST(Messages, EpcHexMatchesPrintfForEveryByte) {
+  for (unsigned b = 0; b < 256; ++b) {
+    TagReportData t;
+    std::string expected;
+    for (std::size_t i = 0; i < t.epc.size(); ++i) {
+      // Every byte value at every position, over the 256 iterations.
+      t.epc[i] = static_cast<std::uint8_t>(b + 37 * i);
+      char buf[3];
+      std::snprintf(buf, sizeof(buf), "%02X", t.epc[i]);
+      expected += buf;
+    }
+    EXPECT_EQ(t.epcHex(), expected) << b;
+  }
+}
+
+TEST(Messages, EpcFromHexRoundTripsAndNormalisesCase) {
+  for (const std::string hex :
+       {"000000000000000000000000", "FFFFFFFFFFFFFFFFFFFFFFFF",
+        "0123456789ABCDEF01234567", "3000AA00BB00CC00FFFFFFFF"}) {
+    TagReportData t;
+    t.epc = TagReportData::epcFromHex(hex);
+    EXPECT_EQ(t.epcHex(), hex);
+  }
+  TagReportData t;
+  t.epc = TagReportData::epcFromHex("3000aa00bb00cc000000beef");
+  EXPECT_EQ(t.epcHex(), "3000AA00BB00CC000000BEEF");
+  EXPECT_THROW(TagReportData::epcFromHex(std::string(26, 'A')), std::invalid_argument);
 }
 
 TEST(Messages, RoAccessReportRoundTrip) {

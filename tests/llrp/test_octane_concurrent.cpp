@@ -152,7 +152,7 @@ TEST(OctaneConcurrent, ReconnectPumpsFanInThroughOutages) {
   EXPECT_EQ(stats[0].disconnects, 1u);
   EXPECT_EQ(stats[1].disconnects, 0u);
   const auto stream = client.snapshotStream();
-  EXPECT_EQ(stream.size(), stats[0].reports + stats[1].reports);
+  EXPECT_EQ(stream.size(), stats[0].decode.reports + stats[1].decode.reports);
 }
 
 TEST(OctaneConcurrent, TakeStreamDrainsAtomically) {

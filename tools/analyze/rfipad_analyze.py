@@ -996,9 +996,11 @@ def scan_calls_and_locks(model, mutexes):
                     i += 1
                     continue
                 if not is_member and prev not in ("::",) and i >= 1 and \
+                        prev not in ("return", "co_return", "throw") and \
                         (toks[i - 1].is_ident or toks[i - 1].text in
                          (">", "&", "*")):
-                    # `Type name(...)` declaration, not a call
+                    # `Type name(...)` declaration, not a call (`return
+                    # f(...)` is a call)
                     i += 1
                     continue
                 if qualifier == "std" or (qualifier is None and prev == "::"):
